@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Matroid
-from .linalg import ExactMatrix, is_prime, rank_rows_exact, rank_rows_mod_p_dense
+from .linalg import ExactMatrix, is_prime, rank_rows_exact
 from .subsets import GroundSubset
 
 DEFAULT_PRIME = 1073741789
@@ -178,8 +178,4 @@ def chow_hilbert(
                     seen.add(key)
                     rows.append(row)
 
-    if exact:
-        rank = rank_rows_exact(rows)
-    else:
-        rank = rank_rows_mod_p_dense(rows, len(columns), prime)
-    return len(columns) - rank
+    return len(columns) - rank_rows_exact(rows, p=None if exact else prime)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -42,27 +42,6 @@ from .transform import contraction, deletion, minor
 from .transform import dual as dual_of
 from .tutte import chromatic_polynomial, tutte_evaluate, tutte_polynomial
 
-THREADS_ENV = "MATROIDKIT_THREADS"
-
-
-def thread_cap() -> int:
-    """Upper bound on internal parallelism, from MATROIDKIT_THREADS.
-
-    All current computations are sequential, so the cap is validated and
-    honored trivially.
-    """
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return value
-
-
 # -- file I/O ------------------------------------------------------------------
 
 
@@ -70,6 +49,12 @@ def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     return Path(path).read_text()
+
+
+def _is_int(x) -> bool:
+    """JSON integers only: bool is an int subclass in Python, and floats such
+    as 1.0 are not indices."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _parse_json(text: str, expected_format: str) -> dict:
@@ -86,8 +71,10 @@ def load_matroid(path: str) -> Matroid:
     obj = _parse_json(_read_text(path), "matroid-v1")
     n = obj.get("n")
     bases = obj.get("bases")
-    if not isinstance(n, int) or not isinstance(bases, list):
+    if not _is_int(n) or not isinstance(bases, list):
         raise ValueError("matroid-v1 needs integer 'n' and a list 'bases'")
+    if not all(isinstance(b, list) and all(map(_is_int, b)) for b in bases):
+        raise ValueError("every basis must be a list of integer indices")
     labels = obj.get("labels")
     if labels is not None and (
         not isinstance(labels, list) or any(not isinstance(x, str) for x in labels)
@@ -110,8 +97,10 @@ def load_graph(path: str) -> Graph:
         obj = _parse_json(text, "graph-v1")
         v = obj.get("v")
         edges = obj.get("edges")
-        if not isinstance(v, int) or not isinstance(edges, list):
+        if not _is_int(v) or not isinstance(edges, list):
             raise ValueError("graph-v1 needs integer 'v' and a list 'edges'")
+        if not all(isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges):
+            raise ValueError("every edge must be a pair of integer vertices")
         return graph_from_edges(v, [tuple(e) for e in edges])
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -131,13 +120,13 @@ def load_matrix(path: str, field: int | None) -> ExactMatrix:
     rows = obj.get("rows")
     cols = obj.get("cols")
     entries = obj.get("entries")
-    if not isinstance(rows, int) or not isinstance(cols, int) or not isinstance(entries, list):
+    if not _is_int(rows) or not _is_int(cols) or not isinstance(entries, list):
         raise ValueError("matrix-v1 needs 'rows', 'cols', and 'entries'")
-    if len(entries) != rows or any(len(r) != cols for r in entries):
+    if len(entries) != rows or any(not isinstance(r, list) or len(r) != cols for r in entries):
         raise ValueError("entry grid does not match the declared shape")
 
     def convert(e):
-        if isinstance(e, int):
+        if _is_int(e):
             return e
         if isinstance(e, str):
             if field is not None:
@@ -358,8 +347,11 @@ def cmd_greedy(args) -> int:
         weights = json.loads(args.weights)
     except json.JSONDecodeError as exc:
         raise ValueError(f"--weights must be a JSON array: {exc}") from None
-    if not isinstance(weights, list):
-        raise ValueError("--weights must be a JSON array")
+    # NaN compares false both ways, so it would derail the greedy order
+    if not isinstance(weights, list) or not all(
+        _is_int(w) or (isinstance(w, float) and not math.isnan(w)) for w in weights
+    ):
+        raise ValueError("--weights must be a JSON array of numbers")
     print(json.dumps(greedy(load_matroid(args.file), weights)))
     return 0
 
@@ -536,7 +528,6 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        thread_cap()
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import comb
 from random import Random
 
 from matroidkit import (
@@ -23,7 +22,6 @@ from matroidkit import (
     linear_matroid,
     uniform_matroid,
 )
-from matroidkit.linalg import rank_rows_exact
 from matroidkit.subsets import iter_bits
 
 
@@ -218,16 +216,45 @@ def naive_chow_hilbert(m: Matroid, degree: int) -> int:
     if degree >= 2:
         for a, b in pres.quadric_gens:
             for mono in monos(degree - 2):
-                key = tuple(sorted(mono + (a, b)))
-                rows.append({columns[key]: 1})
+                row = [0] * len(columns)
+                row[columns[tuple(sorted(mono + (a, b)))]] = 1
+                rows.append(row)
     for gen in pres.linear_gens:
         for mono in monos(degree - 1):
-            row: dict[int, int] = {}
+            row = [0] * len(columns)
             for var, coeff in gen:
-                key = tuple(sorted(mono + (var,)))
-                row[columns[key]] = row.get(columns[key], 0) + coeff
-            rows.append({k: v for k, v in row.items() if v})
-    return comb(nvars + degree - 1, degree) - rank_rows_exact(rows)
+                row[columns[tuple(sorted(mono + (var,)))]] += coeff
+            rows.append(row)
+    return len(columns) - ExactMatrix(rows, cols=len(columns)).rank()
+
+
+def fy_chow_hilbert(m: Matroid) -> list[int]:
+    """Hilbert function of the graded flat algebra of a loopless matroid, in
+    degrees 0 .. rank - 1, by counting the Feichtner-Yuzvinsky monomial basis.
+
+    The basis monomials are x_F1^a1 ... x_Fk^ak over chains of flats
+    empty < F1 < ... < Fk with 1 <= a_i <= rk F_i - rk F_(i-1) - 1
+    (Feichtner-Yuzvinsky, Invent. Math. 2004). ending[F][d] counts the chains
+    ending at F whose exponents sum to d; flats come from the powerset oracle.
+    """
+    levels = brute_flats_by_rank(m)
+    if levels[0] != {0}:
+        raise ValueError("the graded flat algebra requires a loopless matroid")
+    top = m.rank
+    ending: dict[int, list[int]] = {0: [1] + [0] * top}
+    ranked = [(k, f) for k, level in enumerate(levels) for f in level]
+    for k, f in ranked:
+        if f == 0:
+            continue
+        counts = [0] * (top + 1)
+        for j, g in ranked:
+            if j >= k or g & ~f:
+                continue
+            for d, c in enumerate(ending[g]):
+                for a in range(1, min(k - j - 1, top - d) + 1):
+                    counts[d + a] += c
+        ending[f] = counts
+    return [sum(c[d] for c in ending.values()) for d in range(top)]
 
 
 # -- random instances ----------------------------------------------------------------

@@ -13,7 +13,7 @@ from matroidkit import (
     polytope_vertices,
     uniform_matroid,
 )
-from oracles import naive_chow_hilbert, random_matroid
+from oracles import fy_chow_hilbert, naive_chow_hilbert, random_matroid
 
 
 def test_polytope_k4(m4):
@@ -120,4 +120,38 @@ def test_chow_hilbert_symmetry():
             continue
         values = [chow_hilbert(m, d) for d in range(m.rank)]
         assert values == values[::-1]
+        done += 1
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [("vamos", [1, 70, 70, 1]), ("m5", [1, 41, 41, 1]), ("u47", [1, 57, 57, 1])],
+)
+def test_chow_hilbert_matches_fy_basis_count(request, name, expected):
+    m = uniform_matroid(4, 7) if name == "u47" else request.getfixturevalue(name)
+    assert fy_chow_hilbert(m) == expected
+    assert [chow_hilbert(m, d) for d in range(m.rank)] == expected
+    assert [chow_hilbert(m, d, exact=True) for d in range(m.rank)] == expected
+
+
+def test_chow_hilbert_u56_matches_fy_basis_count():
+    m = uniform_matroid(5, 6)
+    expected = fy_chow_hilbert(m)
+    assert expected == [1, 51, 161, 51, 1]
+    assert [chow_hilbert(m, d) for d in range(m.rank)] == expected
+
+
+def test_chow_hilbert_random_matches_fy_basis_count():
+    rng = Random(41)
+    done = 0
+    while done < 60:
+        m = random_matroid(rng, max_n=7)
+        loops = m.loops()
+        if len(loops):
+            m = deletion(m, loops)
+        if not 1 <= m.rank <= 4:
+            continue
+        expected = fy_chow_hilbert(m)
+        assert [chow_hilbert(m, d) for d in range(m.rank)] == expected
+        assert [chow_hilbert(m, d, exact=True) for d in range(m.rank)] == expected
         done += 1

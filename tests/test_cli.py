@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -250,13 +254,44 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 1 and "matroid-v1" in err
 
 
-def test_thread_env_validation(capsys, m_file, monkeypatch):
-    monkeypatch.setenv("MATROIDKIT_THREADS", "2")
-    code, out, _ = invoke(capsys, "validate", m_file)
-    assert code == 0
-    monkeypatch.setenv("MATROIDKIT_THREADS", "zero")
-    code, _, err = invoke(capsys, "validate", m_file)
-    assert code == 1 and "MATROIDKIT_THREADS" in err
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("info", {"format": "matroid-v1", "n": 3, "bases": [["a"]]}),
+        ("info", {"format": "matroid-v1", "n": 3, "bases": [[0, 1.0]]}),
+        ("info", {"format": "matroid-v1", "n": 3, "bases": [0]}),
+        ("info", {"format": "matroid-v1", "n": True, "bases": [[0]]}),
+        ("graphic", {"format": "graph-v1", "v": 3, "edges": ["01", "12"]}),
+        ("linear", {"format": "matrix-v1", "rows": 1, "cols": 1, "entries": [5]}),
+    ],
+)
+def test_malformed_documents_exit_1(capsys, tmp_path, command, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    extra = ["--field", "q"] if command == "linear" else []
+    code, out, err = invoke(capsys, command, *extra, str(path))
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "weights", ['["x", 0, 0]', "[null, 0, 0]", "[true, 0, 0]", "[NaN, 0, 0]"]
+)
+def test_greedy_rejects_non_numeric_weights(capsys, tmp_path, weights):
+    _, out, _ = invoke(capsys, "uniform", "--rank", "2", "--n", "3")
+    path = tmp_path / "u23.json"
+    path.write_text(out)
+    code, out, err = invoke(capsys, "greedy", "--weights", weights, str(path))
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_cli_import_does_not_load_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = "import sys, matroidkit.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_deterministic_output(capsys, m_file):
