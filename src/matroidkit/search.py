@@ -116,10 +116,18 @@ def has_minor(host: Matroid, pattern: Matroid) -> MinorWitness | None:
     Every minor arises as (host / I) \\ J with I independent and J
     coindependent in host / I, so it suffices to contract independent sets of
     size rank(host) - rank(pattern), then delete coindependent sets down to
-    the pattern's size. Candidate minors are screened by basis count,
-    loop/coloop counts, and circuit-size multiset before the isomorphism
-    search runs. Enumeration is colexicographic, so the witness returned is
-    deterministic.
+    the pattern's size. Both are enumerated colexicographically, so the
+    witness returned is the first pair in that order and is deterministic.
+
+    No candidate minor is built until bit screens pass. For each contraction
+    host / I, col[e] is the bitmask over basis positions of the bases that
+    contain e, so `alive = every & ~OR(col[e] for e in D)` marks the bases
+    that avoid a delete set D. D survives only if alive holds the pattern's
+    basis count, which also makes D coindependent, so alive is exactly the
+    bases of (host / I) \\ D. Among the kept elements, col[e] & alive == 0
+    marks a loop and col[e] & alive == alive a coloop; both counts must equal
+    the pattern's. Only survivors are built with `deletion`, then screened
+    by circuit-size multiset before the isomorphism search runs.
     """
     if pattern.rank > host.rank or pattern.n > host.n:
         return None
@@ -131,31 +139,46 @@ def has_minor(host: Matroid, pattern: Matroid) -> MinorWitness | None:
     pat_loops = len(pattern.loops())
     pat_coloops = len(pattern.coloops())
     pat_bases = len(pattern.basis_masks)
+    inner_n = host.n - csize
+    delete_sets = []
+    for delete_set in _colex_subsets(inner_n, dsize):
+        dmask = 0
+        for e in delete_set:
+            dmask |= 1 << e
+        kept = tuple(e for e in range(inner_n) if not dmask >> e & 1)
+        delete_sets.append((delete_set, dmask, kept))
 
     for contract_set in _colex_subsets(host.n, csize):
-        if host.rank_of(contract_set) != csize:
-            continue
         inner = contraction(host, contract_set)
-        remaining = [e for e in range(host.n) if e not in contract_set]
-        full_inner = (1 << inner.n) - 1
-        for delete_set in _colex_subsets(inner.n, dsize):
-            dmask = 0
+        if inner.rank != pattern.rank:
+            continue
+        col = [0] * inner_n
+        for i, b in enumerate(inner.basis_masks):
+            for e in iter_bits(b):
+                col[e] |= 1 << i
+        every = (1 << len(inner.basis_masks)) - 1
+        for delete_set, dmask, kept in delete_sets:
+            dead = 0
             for e in delete_set:
-                dmask |= 1 << e
-            if inner._rank_of_mask(full_inner & ~dmask) != inner.rank:
+                dead |= col[e]
+            alive = every & ~dead
+            if alive.bit_count() != pat_bases:
                 continue
-            candidate = deletion(inner, GroundSubset(dmask, inner.n))
-            if len(candidate.basis_masks) != pat_bases:
+            loops = coloops = 0
+            for e in kept:
+                hit = col[e] & alive
+                if hit == 0:
+                    loops += 1
+                elif hit == alive:
+                    coloops += 1
+            if loops != pat_loops or coloops != pat_coloops:
                 continue
-            if (
-                len(candidate.loops()) != pat_loops
-                or len(candidate.coloops()) != pat_coloops
-            ):
-                continue
+            candidate = deletion(inner, GroundSubset(dmask, inner_n))
             if sorted(len(c) for c in candidate.circuits()) != pat_circ:
                 continue
             iso = isomorphism(candidate, pattern)
             if iso is not None:
+                remaining = [e for e in range(host.n) if e not in contract_set]
                 return MinorWitness(
                     GroundSubset.of(contract_set, host.n),
                     GroundSubset.of((remaining[j] for j in delete_set), host.n),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .core import Matroid, SubsetLike, as_mask
 from .subsets import GroundSubset, iter_bits
 
@@ -14,24 +16,31 @@ def dual(matroid: Matroid) -> Matroid:
     )
 
 
-def restriction(matroid: Matroid, subset: SubsetLike) -> Matroid:
-    """Restrict to a subset, re-indexed densely to 0..|S|-1, labels carried over."""
-    s = as_mask(subset, matroid.n)
-    keep = list(iter_bits(s))
-    pos = {orig: i for i, orig in enumerate(keep)}
-    r = matroid._rank_of_mask(s) if keep else 0
-    new_masks = set()
-    for b in matroid.basis_masks:
-        inter = b & s
-        if inter.bit_count() == r:
-            m = 0
-            for e in iter_bits(inter):
-                m |= 1 << pos[e]
-            new_masks.add(m)
+def _reindex(matroid: Matroid, keep: int, masks: Iterable[int]) -> Matroid:
+    """The matroid on the elements of `keep`, re-indexed densely to 0..|keep|-1,
+    whose bases are the given masks (each a subset of `keep`), labels carried over."""
+    elems = list(iter_bits(keep))
+    pos = {orig: i for i, orig in enumerate(elems)}
+    new_masks = []
+    for b in masks:
+        m = 0
+        for e in iter_bits(b):
+            m |= 1 << pos[e]
+        new_masks.append(m)
     labels = None
     if matroid.labels is not None:
-        labels = tuple(matroid.labels[i] for i in keep)
-    return Matroid._from_masks(len(keep), sorted(new_masks), labels)
+        labels = tuple(matroid.labels[i] for i in elems)
+    return Matroid._from_masks(len(elems), new_masks, labels)
+
+
+def restriction(matroid: Matroid, subset: SubsetLike) -> Matroid:
+    """Restrict to a subset S, re-indexed densely to 0..|S|-1, labels carried
+    over: the bases are the intersections B & S of size r(S)."""
+    s = as_mask(subset, matroid.n)
+    r = matroid._rank_of_mask(s)
+    return _reindex(
+        matroid, s, (b & s for b in matroid.basis_masks if (b & s).bit_count() == r)
+    )
 
 
 def deletion(matroid: Matroid, subset: SubsetLike) -> Matroid:
@@ -41,9 +50,16 @@ def deletion(matroid: Matroid, subset: SubsetLike) -> Matroid:
 
 
 def contraction(matroid: Matroid, subset: SubsetLike) -> Matroid:
-    """Contraction as the dual of deletion in the dual."""
-    s = as_mask(subset, matroid.n)
-    return dual(deletion(dual(matroid), GroundSubset(s, matroid.n)))
+    """Contract a subset X: the bases are B - X over the bases B with
+    |B & X| = r(X), re-indexed densely over E - X, labels carried over."""
+    x = as_mask(subset, matroid.n)
+    r = matroid._rank_of_mask(x)
+    keep = matroid._full() & ~x
+    return _reindex(
+        matroid,
+        keep,
+        (b & keep for b in matroid.basis_masks if (b & x).bit_count() == r),
+    )
 
 
 def minor(matroid: Matroid, contract: SubsetLike, delete: SubsetLike) -> Matroid:

@@ -71,11 +71,23 @@ def brute_closure(m: Matroid, mask: int) -> int:
 
 
 def brute_flats_by_rank(m: Matroid) -> list[set[int]]:
-    """Distinct closures of all subsets, grouped by rank."""
+    """Distinct closures of all subsets, grouped by rank. Each powerset
+    `brute_rank` is computed once per mask and reused by every closure."""
+    ranks: dict[int, int] = {}
+
+    def rank(mask: int) -> int:
+        if mask not in ranks:
+            ranks[mask] = brute_rank(m, mask)
+        return ranks[mask]
+
     levels: list[set[int]] = [set() for _ in range(m.rank + 1)]
     for mask in range(1 << m.n):
-        cl = brute_closure(m, mask)
-        levels[brute_rank(m, cl)].add(cl)
+        r = rank(mask)
+        cl = mask
+        for x in range(m.n):
+            if not mask >> x & 1 and rank(mask | 1 << x) == r:
+                cl |= 1 << x
+        levels[rank(cl)].add(cl)
     return levels
 
 
@@ -145,6 +157,42 @@ def brute_isomorphic(a: Matroid, b: Matroid) -> bool:
         if mapped == target:
             return True
     return False
+
+
+def _colex(pool: list[int], size: int) -> list[tuple[int, ...]]:
+    """Size-subsets of an ascending pool, in colexicographic order."""
+    return sorted(combinations(pool, size), key=lambda c: c[::-1])
+
+
+def brute_minor_witness(host: Matroid, pattern: Matroid) -> tuple[int, int] | None:
+    """First (contract, delete) mask pair, in the same colex order as
+    `has_minor`, whose minor is isomorphic to the pattern, or None.
+
+    Contract sets C must be independent (by `brute_rank`); the bases of
+    (host / C) \\ D are B - C over the host's bases B that contain C and avoid
+    D, and D is skipped when no such basis exists (the rank would drop).
+    Minors are compared with `brute_isomorphic`.
+    """
+    csize = host.rank - pattern.rank
+    dsize = host.n - csize - pattern.n
+    if csize < 0 or dsize < 0:
+        return None
+    for contract in _colex(list(range(host.n)), csize):
+        cmask = sum(1 << e for e in contract)
+        if brute_rank(host, cmask) != csize:
+            continue
+        rest = [e for e in range(host.n) if not cmask >> e & 1]
+        for delete in _colex(rest, dsize):
+            dmask = sum(1 << e for e in delete)
+            kept = [e for e in rest if not dmask >> e & 1]
+            bases = [
+                [kept.index(e) for e in iter_bits(b & ~cmask)]
+                for b in host.basis_masks
+                if b & cmask == cmask and not b & dmask
+            ]
+            if bases and brute_isomorphic(Matroid(len(kept), bases), pattern):
+                return cmask, dmask
+    return None
 
 
 # -- optimization ------------------------------------------------------------------

@@ -11,10 +11,16 @@ from matroidkit import (
     isomorphism,
     linear_matroid,
     minor,
+    specific_matroid,
     uniform_matroid,
 )
 from matroidkit.search import apply_permutation
-from oracles import brute_isomorphic, random_linear_matroid
+from oracles import (
+    brute_isomorphic,
+    brute_minor_witness,
+    random_linear_matroid,
+    random_matroid,
+)
 
 
 def rational_column_matroid():
@@ -111,3 +117,54 @@ def test_has_minor_in_graphic(m4):
 
 def test_has_minor_deterministic(m5, m4):
     assert has_minor(m5, m4) == has_minor(m5, m4)
+
+
+def check_minor_against_oracle(host, pattern):
+    w = has_minor(host, pattern)
+    expected = brute_minor_witness(host, pattern)
+    if expected is None:
+        assert w is None
+        return False
+    assert w is not None
+    assert (w.contract.bits, w.delete.bits) == expected
+    verify_iso(minor(host, w.contract, w.delete), pattern, w.iso)
+    return True
+
+
+def test_has_minor_matches_brute_force_oracle():
+    patterns = [
+        uniform_matroid(2, 4),
+        uniform_matroid(1, 2),
+        uniform_matroid(2, 3),
+        uniform_matroid(0, 1),
+        uniform_matroid(1, 1),
+        Matroid(3, [[0], [1]]),  # U(1,2) plus one loop
+    ]
+    rng = Random(4)
+    found = 0
+    for _ in range(150):
+        host = random_matroid(rng, max_n=7)
+        found += sum(check_minor_against_oracle(host, p) for p in patterns)
+    assert found > 200
+
+
+def test_has_minor_random_patterns_match_oracle():
+    # Random patterns reach hosts where the lexicographically first witness
+    # differs from the colexicographic one, so the order itself is checked.
+    rng = Random(1)
+    found = 0
+    for _ in range(2000):
+        host = random_matroid(rng, max_n=7)
+        found += check_minor_against_oracle(host, random_matroid(rng, max_n=4))
+    assert found > 500
+
+
+def test_has_minor_k6():
+    m6 = graphic_matroid(complete_graph(6))
+    fano = specific_matroid("fano")
+    for pattern in (uniform_matroid(2, 4), fano, dual(fano)):
+        assert has_minor(m6, pattern) is None
+    m4 = graphic_matroid(complete_graph(4))
+    w = has_minor(m6, m4)
+    assert w is not None
+    verify_iso(minor(m6, w.contract, w.delete), m4, w.iso)

@@ -1,7 +1,10 @@
+from random import Random
+
 import pytest
 
 from matroidkit import (
     GroundSubset,
+    Matroid,
     contraction,
     deletion,
     dual,
@@ -11,6 +14,7 @@ from matroidkit import (
     restriction,
     uniform_matroid,
 )
+from oracles import random_matroid
 
 
 def indices(subsets):
@@ -78,11 +82,31 @@ def test_minor_overlap_rejected(m5):
 
 
 def test_deletion_contraction_duality(running_example, u24):
-    for m in (running_example, u24):
+    rng = Random(9)
+    hosts = [running_example, u24]
+    for _ in range(40):
+        m = random_matroid(rng, max_n=7)
+        hosts.append(Matroid(m.n, m.bases, labels=[f"e{i}" for i in range(m.n)]))
+    seen = set()
+    for m in hosts:
+        loops, coloops = m.loops().bits, m.coloops().bits
         for mask in range(1 << m.n):
             s = GroundSubset(mask, m.n)
-            assert contraction(m, s) == dual(deletion(dual(m), s))
+            got = contraction(m, s)
+            want = dual(deletion(dual(m), s))
+            assert (got.n, got.basis_masks, got.labels) == (
+                want.n,
+                want.basis_masks,
+                want.labels,
+            )
             assert deletion(m, s) == dual(contraction(dual(m), s))
+            if m.rank_of(s) < len(s):
+                seen.add("dependent")
+            if mask & loops:
+                seen.add("loop")
+            if mask & coloops:
+                seen.add("coloop")
+    assert seen == {"dependent", "loop", "coloop"}
 
 
 def test_basis_count_identity(m4):
@@ -93,3 +117,4 @@ def test_basis_count_identity(m4):
             continue
         total = len(deletion(m4, [e]).bases) + len(contraction(m4, [e]).bases)
         assert total == len(m4.bases)
+
