@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Matroid
-from .linalg import ExactMatrix, is_prime, rank_rows_exact
-from .subsets import GroundSubset
+from .linalg import rank_rows_exact, require_prime
+from .subsets import GroundSubset, iter_bits
 
 DEFAULT_PRIME = 1073741789
 
@@ -28,14 +28,16 @@ class PolytopeVertices:
 
 def polytope_vertices(matroid: Matroid) -> PolytopeVertices:
     """One 0/1 vertex per basis; dimension is the rational rank of the
-    differences against the first vertex."""
+    differences against the first vertex, as sparse +1/-1 rows."""
     n = matroid.n
-    verts = [
-        tuple(1 if b >> i & 1 else 0 for i in range(n)) for b in matroid.basis_masks
-    ]
-    diffs = [[vk[i] - verts[0][i] for i in range(n)] for vk in verts[1:]]
-    dim = ExactMatrix(diffs, cols=n).rank() if diffs else 0
-    return PolytopeVertices(n, tuple(verts), dim)
+    masks = matroid.basis_masks
+    verts = tuple(tuple(b >> i & 1 for i in range(n)) for b in masks)
+    diffs = []
+    for b in masks[1:]:
+        row = dict.fromkeys(iter_bits(b & ~masks[0]), 1)
+        row.update(dict.fromkeys(iter_bits(masks[0] & ~b), -1))
+        diffs.append(row)
+    return PolytopeVertices(n, verts, rank_rows_exact(diffs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,8 +131,8 @@ def chow_hilbert(
         raise ValueError(f"degree must lie in [0, {r - 1}], got {degree}")
     if degree == 0:
         return 1
-    if not exact and not (2 <= prime < 2**31 and is_prime(prime)):
-        raise ValueError(f"modulus {prime} is not a prime below 2^31")
+    if not exact:
+        require_prime(prime)
 
     nvars = len(pres.flats)
     if nvars == 0:

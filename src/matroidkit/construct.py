@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 from .core import Matroid, SubsetLike, as_mask
 from .graphs import Graph, component_count, get_cycles
 from .linalg import ExactMatrix
-from .subsets import GroundSubset, iter_bits, minimal_masks
+from .subsets import GroundSubset, iter_bits, mask_from_indices, minimal_masks
 from .transform import restriction
 
 FANO_NONBASES = (
@@ -37,25 +37,18 @@ def uniform_matroid(rank: int, n: int) -> Matroid:
     """U(r, n): every r-subset of the ground set is a basis."""
     if not 0 <= rank <= n:
         raise ValueError(f"uniform matroid needs 0 <= rank <= n, got ({rank}, {n})")
-    masks = []
-    for combo in combinations(range(n), rank):
-        m = 0
-        for i in combo:
-            m |= 1 << i
-        masks.append(m)
+    masks = [mask_from_indices(combo, n) for combo in combinations(range(n), rank)]
     return Matroid._from_masks(n, masks)
 
 
 def linear_matroid(matrix: ExactMatrix) -> Matroid:
     """Column matroid of an exact matrix: bases are the full-rank column r-subsets."""
     r = matrix.rank()
-    masks = []
-    for combo in combinations(range(matrix.cols), r):
-        if matrix.rank(combo) == r:
-            m = 0
-            for i in combo:
-                m |= 1 << i
-            masks.append(m)
+    masks = [
+        mask_from_indices(combo, matrix.cols)
+        for combo in combinations(range(matrix.cols), r)
+        if matrix.rank(combo) == r
+    ]
     labels = tuple(matrix.column_label(j) for j in range(matrix.cols))
     return Matroid._from_masks(matrix.cols, masks, labels)
 
@@ -128,13 +121,8 @@ def matroid_from_nonbases(
         if m.bit_count() != rank:
             raise ValueError(f"nonbasis of size {m.bit_count()}, expected {rank}")
         excluded.add(m)
-    masks = []
-    for combo in combinations(range(n), rank):
-        m = 0
-        for i in combo:
-            m |= 1 << i
-        if m not in excluded:
-            masks.append(m)
+    candidates = (mask_from_indices(combo, n) for combo in combinations(range(n), rank))
+    masks = [m for m in candidates if m not in excluded]
     if not masks:
         raise ValueError("every rank-sized subset is excluded; no bases remain")
     return Matroid._from_masks(n, masks, labels)

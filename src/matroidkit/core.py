@@ -152,9 +152,7 @@ class Matroid:
             raise ValueError("subset size must be nonnegative")
         out = []
         for combo in combinations(range(self.n), k):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
+            mask = mask_from_indices(combo, self.n)
             if self._rank_of_mask(mask) == k:
                 out.append(GroundSubset(mask, self.n))
         return out

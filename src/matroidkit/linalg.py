@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 def is_prime(p: int) -> bool:
@@ -30,11 +30,18 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def require_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime below 2^31, the only moduli the
+    exact routines accept."""
+    if not (2 <= p < 2**31 and is_prime(p)):
+        raise ValueError(f"modulus {p} is not a prime below 2^31")
+
+
 class ExactMatrix:
     """Dense matrix with exact entries: Fractions, or integers mod a prime.
 
-    field is None for rational arithmetic, or the prime modulus. Ranks and
-    reduced row-echelon forms are computed exactly in either mode.
+    field is None for rational arithmetic, or the prime modulus. Ranks are
+    computed exactly in either mode by `rank_rows_exact`.
     """
 
     __slots__ = ("rows", "cols", "field", "entries")
@@ -50,8 +57,7 @@ class ExactMatrix:
         else:
             width = cols or 0
         if field is not None:
-            if not (2 <= field < 2**31 and is_prime(field)):
-                raise ValueError(f"field modulus {field} is not a prime below 2^31")
+            require_prime(field)
             entries = tuple(tuple(int(e) % field for e in r) for r in rows)
         else:
             entries = tuple(tuple(Fraction(e) for e in r) for r in rows)
@@ -60,21 +66,13 @@ class ExactMatrix:
         self.field = field
         self.entries = entries
 
-    def _work(self, columns: Sequence[int] | None) -> list[list]:
-        if columns is None:
-            return [list(r) for r in self.entries]
-        return [[r[c] for c in columns] for r in self.entries]
-
     def rank(self, columns: Sequence[int] | None = None) -> int:
-        """Rank of the matrix, or of the submatrix on the given columns."""
-        work = self._work(columns)
-        r, _ = _eliminate(work, self.field, reduced=False)
-        return r
-
-    def rref(self) -> "ExactMatrix":
-        work = self._work(None)
-        _eliminate(work, self.field, reduced=True)
-        return ExactMatrix(work, field=self.field, cols=self.cols)
+        """Rank of the matrix, or of the submatrix on the given columns, which
+        may repeat: each row becomes a sparse row keyed by position in columns."""
+        if columns is None:
+            columns = range(self.cols)
+        rows = [{k: r[c] for k, c in enumerate(columns)} for r in self.entries]
+        return rank_rows_exact(rows, p=self.field)
 
     def column(self, j: int) -> tuple:
         return tuple(r[j] for r in self.entries)
@@ -97,44 +95,15 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols} over {f})"
 
 
-def _eliminate(work: list[list], p: int | None, reduced: bool) -> tuple[int, list[list]]:
-    """In-place Gaussian elimination; returns (rank, work)."""
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        lead = work[r][c]
-        if p is not None:
-            inv = pow(lead, -1, p)
-            work[r] = [e * inv % p for e in work[r]]
-        else:
-            work[r] = [e / lead for e in work[r]]
-        targets = range(nrows) if reduced else range(r + 1, nrows)
-        for i in targets:
-            if i == r or work[i][c] == 0:
-                continue
-            f = work[i][c]
-            row, prow = work[i], work[r]
-            if p is not None:
-                work[i] = [(a - f * b) % p for a, b in zip(row, prow)]
-            else:
-                work[i] = [a - f * b for a, b in zip(row, prow)]
-        r += 1
-        if r == nrows:
-            break
-    return r, work
+def rank_rows_exact(rows: list[Mapping[int, int | Fraction]], p: int | None = None) -> int:
+    """Rank of sparse rows over GF(p), or over the rationals when p is None.
 
-
-def rank_rows_exact(rows: Iterable[Mapping[int, int]], p: int | None = None) -> int:
-    """Rank of sparse integer rows over GF(p), or over the rationals when p is None.
-
-    Streaming echelon: each incoming row is reduced against the pivot rows kept
-    so far, one per leading column, and becomes a new pivot row if anything is
-    left. p must be prime; callers validate it.
+    Each row maps a column index to an integer or Fraction entry; absent and
+    zero entries are zero. Rows come as a list. Over GF(p) the entries must be
+    integers. This is the library's only row reduction: a streaming echelon
+    in which each incoming row is reduced against the pivot rows kept so far,
+    one per leading column, and becomes a new pivot row if anything is left.
+    p must be prime; callers validate it with `require_prime`.
     """
     pivots: dict[int, dict] = {}
     for raw in rows:
@@ -165,7 +134,7 @@ def rank_rows_exact(rows: Iterable[Mapping[int, int]], p: int | None = None) -> 
     return len(pivots)
 
 
-def rank_rows_mod_p_dense(rows: Iterable[Mapping[int, int]], ncols: int, p: int) -> int:
+def rank_rows_mod_p_dense(rows: list[Mapping[int, int]], ncols: int, p: int) -> int:
     """Same as rank_rows_exact(rows, p=p); ncols is ignored.
 
     No library code calls this. The name is kept because the benchmark's

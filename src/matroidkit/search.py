@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import Matroid
-from .subsets import GroundSubset, iter_bits
+from .subsets import GroundSubset, iter_bits, mask_from_indices
 from .transform import contraction, deletion
 
 
@@ -142,9 +142,7 @@ def has_minor(host: Matroid, pattern: Matroid) -> MinorWitness | None:
     inner_n = host.n - csize
     delete_sets = []
     for delete_set in _colex_subsets(inner_n, dsize):
-        dmask = 0
-        for e in delete_set:
-            dmask |= 1 << e
+        dmask = mask_from_indices(delete_set, inner_n)
         kept = tuple(e for e in range(inner_n) if not dmask >> e & 1)
         delete_sets.append((delete_set, dmask, kept))
 

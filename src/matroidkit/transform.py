@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .core import Matroid, SubsetLike, as_mask
-from .subsets import GroundSubset, iter_bits
+from .subsets import iter_bits
 
 
 def dual(matroid: Matroid) -> Matroid:
@@ -33,33 +33,35 @@ def _reindex(matroid: Matroid, keep: int, masks: Iterable[int]) -> Matroid:
     return Matroid._from_masks(len(elems), new_masks, labels)
 
 
+def _minor(matroid: Matroid, x: int, y: int) -> Matroid:
+    """(M / X) \\ Y for disjoint masks X and Y. With keep = E - X - Y, the bases
+    are the largest of the sets B & keep over the bases B with |B & X| = r(X),
+    re-indexed densely over keep, labels carried over. r(X) takes a sweep only
+    when X is nonempty, and when Y is empty the sets all have size
+    r(M) - r(X), so the size filter is skipped."""
+    keep = matroid._full() & ~(x | y)
+    r = matroid._rank_of_mask(x) if x else 0
+    masks = [b & keep for b in matroid.basis_masks if (b & x).bit_count() == r]
+    if y:
+        top = max(b.bit_count() for b in masks)
+        masks = [b for b in masks if b.bit_count() == top]
+    return _reindex(matroid, keep, masks)
+
+
 def restriction(matroid: Matroid, subset: SubsetLike) -> Matroid:
     """Restrict to a subset S, re-indexed densely to 0..|S|-1, labels carried
     over: the bases are the intersections B & S of size r(S)."""
-    s = as_mask(subset, matroid.n)
-    r = matroid._rank_of_mask(s)
-    return _reindex(
-        matroid, s, (b & s for b in matroid.basis_masks if (b & s).bit_count() == r)
-    )
+    return _minor(matroid, 0, matroid._full() & ~as_mask(subset, matroid.n))
 
 
 def deletion(matroid: Matroid, subset: SubsetLike) -> Matroid:
-    s = as_mask(subset, matroid.n)
-    full = (1 << matroid.n) - 1
-    return restriction(matroid, GroundSubset(full & ~s, matroid.n))
+    return _minor(matroid, 0, as_mask(subset, matroid.n))
 
 
 def contraction(matroid: Matroid, subset: SubsetLike) -> Matroid:
     """Contract a subset X: the bases are B - X over the bases B with
     |B & X| = r(X), re-indexed densely over E - X, labels carried over."""
-    x = as_mask(subset, matroid.n)
-    r = matroid._rank_of_mask(x)
-    keep = matroid._full() & ~x
-    return _reindex(
-        matroid,
-        keep,
-        (b & keep for b in matroid.basis_masks if (b & x).bit_count() == r),
-    )
+    return _minor(matroid, as_mask(subset, matroid.n), 0)
 
 
 def minor(matroid: Matroid, contract: SubsetLike, delete: SubsetLike) -> Matroid:
@@ -68,8 +70,4 @@ def minor(matroid: Matroid, contract: SubsetLike, delete: SubsetLike) -> Matroid
     y = as_mask(delete, matroid.n)
     if x & y:
         raise ValueError("contract and delete sets overlap")
-    contracted = contraction(matroid, GroundSubset(x, matroid.n))
-    remaining = [i for i in range(matroid.n) if not x >> i & 1]
-    pos = {orig: i for i, orig in enumerate(remaining)}
-    y_new = GroundSubset.of((pos[e] for e in iter_bits(y)), contracted.n)
-    return deletion(contracted, y_new)
+    return _minor(matroid, x, y)

@@ -240,6 +240,36 @@ def tutte_by_activities(m: Matroid):
     return BivarPoly(terms)
 
 
+# -- linear algebra ----------------------------------------------------------------
+
+
+def brute_matrix_rank(grid, p: int | None = None) -> int:
+    """Rank of a dense grid by textbook Gaussian elimination, over the
+    rationals (Fractions) or, when p is given, over GF(p)."""
+    if p is None:
+        work = [[Fraction(e) for e in row] for row in grid]
+    else:
+        work = [[int(e) % p for e in row] for row in grid]
+    rank = 0
+    for c in range(len(work[0]) if work else 0):
+        piv = next((i for i in range(rank, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        top = work[rank]
+        for i in range(rank + 1, len(work)):
+            if not work[i][c]:
+                continue
+            if p is None:
+                f = work[i][c] / top[c]
+                work[i] = [a - f * b for a, b in zip(work[i], top)]
+            else:
+                f = work[i][c] * pow(top[c], -1, p)
+                work[i] = [(a - f * b) % p for a, b in zip(work[i], top)]
+        rank += 1
+    return rank
+
+
 # -- algebra -----------------------------------------------------------------------
 
 
@@ -273,7 +303,7 @@ def naive_chow_hilbert(m: Matroid, degree: int) -> int:
             for var, coeff in gen:
                 row[columns[tuple(sorted(mono + (var,)))]] += coeff
             rows.append(row)
-    return len(columns) - ExactMatrix(rows, cols=len(columns)).rank()
+    return len(columns) - brute_matrix_rank(rows)
 
 
 def fy_chow_hilbert(m: Matroid) -> list[int]:

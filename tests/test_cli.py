@@ -231,6 +231,14 @@ def test_linear_command(capsys, tmp_path):
     assert code == 1
 
 
+def test_linear_command_refuses_non_prime_field(capsys, tmp_path):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"format": "matrix-v1", "rows": 1, "cols": 2, "entries": [[1, 2]]}))
+    code, out, err = invoke(capsys, "linear", "--field", "p:4", str(path))
+    assert code == 1 and out == "" and err.startswith("error:")
+    assert "not a prime" in err and "Traceback" not in err
+
+
 def test_direct_sum_and_components(capsys, tmp_path):
     _, u_out, _ = invoke(capsys, "uniform", "--rank", "2", "--n", "4")
     u_path = tmp_path / "u.json"

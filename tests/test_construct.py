@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -53,8 +54,23 @@ def test_linear_matroid_zero():
 
 
 def test_linear_matroid_rref_invariant():
-    a = ExactMatrix([[1, 2, 0, 1], [2, 4, 1, 0], [0, 1, 1, 1]], field=3)
-    assert linear_matroid(a) == linear_matroid(a.rref())
+    """Row swaps, nonzero scalings and row additions, the steps of row
+    reduction, leave the column matroid unchanged over Q and over GF(3)."""
+    rng = Random(5)
+    for field, scales in ((None, [-1, 2, Fraction(-3, 2), Fraction(1, 3)]), (3, [1, 2, -1])):
+        grids = [[[1, 2, 0, 1], [2, 4, 1, 0], [0, 1, 1, 1]]]
+        for _ in range(30):
+            nrows, ncols = rng.randint(2, 4), rng.randint(3, 7)
+            grids.append([[rng.randint(-2, 2) for _ in range(ncols)] for _ in range(nrows)])
+        for grid in grids:
+            want = linear_matroid(ExactMatrix(grid, field=field))
+            for _ in range(4):
+                i, j = rng.sample(range(len(grid)), 2)
+                c = rng.choice(scales)
+                grid[i], grid[j] = grid[j], grid[i]
+                grid[i] = [c * e for e in grid[i]]
+                grid[j] = [a + c * b for a, b in zip(grid[j], grid[i])]
+                assert linear_matroid(ExactMatrix(grid, field=field)) == want
 
 
 def test_graphic_matroid_counts(m5, m4):

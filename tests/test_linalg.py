@@ -1,10 +1,14 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
 
+from matroidkit import chow_hilbert, specific_matroid
 from matroidkit.linalg import ExactMatrix, rank_rows_exact, rank_rows_mod_p_dense
+from oracles import brute_matrix_rank
 
 PRIMES = (2, 3, 7, 1073741789)
+TOO_BIG_PRIME = 2147483659  # the least prime above 2^31
 
 
 def random_sparse_rows(rng: Random, p: int) -> tuple[list[dict[int, int]], int]:
@@ -25,8 +29,47 @@ def test_rank_matches_dense_elimination(p):
     for _ in range(150):
         rows, ncols = random_sparse_rows(rng, p)
         grid = [[row.get(c, 0) for c in range(ncols)] for row in rows]
-        assert rank_rows_exact(rows) == ExactMatrix(grid, cols=ncols).rank()
-        assert rank_rows_exact(rows, p=p) == ExactMatrix(grid, field=p, cols=ncols).rank()
+        assert rank_rows_exact(rows) == brute_matrix_rank(grid)
+        assert rank_rows_exact(rows, p=p) == brute_matrix_rank(grid, p)
+
+
+@pytest.mark.parametrize("p", (None, 2, 3, 7))
+def test_matrix_rank_on_columns_matches_oracle(p):
+    """Column selections repeat columns or are empty; rows may be zero and
+    entries may vanish mod p."""
+    rng = Random(100 + (p or 0))
+    pool = [0, 0, 1, -1, 2, -3, 5, 14]
+    if p is None:
+        pool += [Fraction(2, 3), Fraction(-5, 7)]
+    seen = set()
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 7)
+        grid = [[rng.choice(pool) for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.3:
+            grid[rng.randrange(nrows)] = [0] * ncols
+        a = ExactMatrix(grid, field=p)
+        assert a.rank() == brute_matrix_rank(grid, p)
+        columns = [rng.randrange(ncols) for _ in range(rng.randint(0, 2 * ncols))]
+        sub = [[row[c] for c in columns] for row in grid]
+        assert a.rank(columns) == brute_matrix_rank(sub, p)
+        assert a.rank(columns) == a.rank(sorted(set(columns)))
+        seen.add("repeat" if len(set(columns)) < len(columns) else "distinct")
+        if not columns:
+            assert a.rank(columns) == 0
+            seen.add("empty")
+        if any(not any(row) for row in a.entries):
+            seen.add("zero row")
+        if p is not None and any(e and e % p == 0 for row in grid for e in row):
+            seen.add("vanishing")
+    assert seen == {"repeat", "distinct", "empty", "zero row"} | ({"vanishing"} if p else set())
+
+
+def test_matrix_rank_depends_on_field():
+    grid = [[1, 1, 0], [1, -1, 0]]
+    assert ExactMatrix(grid).rank() == 2
+    assert ExactMatrix(grid, field=2).rank() == 1
+    assert ExactMatrix(grid, field=3).rank([1, 1, 2]) == 1
+    assert ExactMatrix(grid, field=3).rank([]) == 0
 
 
 def test_field_changes_rank():
@@ -46,3 +89,17 @@ def test_empty_and_zero_rows(p):
 def test_mod_p_dense_name_forwards():
     rows = [{0: 1, 1: 1}, {0: 1, 1: -1}]
     assert rank_rows_mod_p_dense(rows, 2, 2) == 1
+
+
+@pytest.mark.parametrize("bad", [4, 1, 0, -7, TOO_BIG_PRIME, 2**31])
+def test_bad_modulus_is_refused(bad):
+    with pytest.raises(ValueError, match="not a prime below 2"):
+        ExactMatrix([[1, 0], [0, 1]], field=bad)
+    with pytest.raises(ValueError, match="not a prime below 2"):
+        chow_hilbert(specific_matroid("fano"), 1, prime=bad)
+
+
+def test_largest_accepted_modulus():
+    big = 2**31 - 1  # a Mersenne prime, the largest prime below 2^31
+    assert ExactMatrix([[1, 2], [2, 4]], field=big).rank() == 1
+    assert chow_hilbert(specific_matroid("fano"), 1, prime=big) == 8

@@ -14,7 +14,8 @@ from matroidkit import (
     restriction,
     uniform_matroid,
 )
-from oracles import random_matroid
+from matroidkit.subsets import iter_bits
+from oracles import brute_rank, random_matroid
 
 
 def indices(subsets):
@@ -79,6 +80,39 @@ def test_minor_ground_size(m5):
 def test_minor_overlap_rejected(m5):
     with pytest.raises(ValueError):
         minor(m5, [1, 2], [2, 3])
+
+
+def test_minor_matches_rank_function_definition():
+    """N = (M / X) \\ Y has r_N(S) = r(S | X) - r(X), with N's elements the
+    elements of E - X - Y in increasing order; ranks come from `brute_rank`."""
+    rng = Random(21)
+    seen = set()
+    for _ in range(150):
+        m = random_matroid(rng, max_n=7)
+        loops, coloops = m.loops().bits, m.coloops().bits
+        x = y = 0
+        for e in range(m.n):
+            side = rng.randrange(3)  # 0 keep, 1 contract, 2 delete
+            if (loops | coloops) >> e & 1 and rng.random() < 0.5:
+                side = 2
+            if side == 1:
+                x |= 1 << e
+            elif side == 2:
+                y |= 1 << e
+        got = minor(m, GroundSubset(x, m.n), GroundSubset(y, m.n))
+        kept = [e for e in range(m.n) if not (x | y) >> e & 1]
+        assert got.n == len(kept)
+        rx = brute_rank(m, x)
+        for t in range(1 << len(kept)):
+            s = sum(1 << kept[i] for i in iter_bits(t))
+            assert brute_rank(got, t) == brute_rank(m, s | x) - rx
+        if rx < x.bit_count():
+            seen.add("X dependent")
+        if y & loops:
+            seen.add("Y loop")
+        if y & coloops:
+            seen.add("Y coloop")
+    assert seen == {"X dependent", "Y loop", "Y coloop"}
 
 
 def test_deletion_contraction_duality(running_example, u24):
