@@ -11,10 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Matroid
-from .linalg import rank_rows_exact, require_prime
+from .linalg import rank_rows_exact
 from .subsets import GroundSubset, iter_bits
-
-DEFAULT_PRIME = 1073741789
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,106 +76,42 @@ def chow_presentation(matroid: Matroid) -> ChowPresentation:
     return ChowPresentation(tuple(flats), tuple(gens), tuple(quads))
 
 
-Monomial = tuple[tuple[int, int], ...]
-
-
-def _chain_monomials(degree: int, supersets: list[list[int]], nvars: int) -> list[Monomial]:
-    """Degree-d monomials whose variable support is a chain of flats.
-
-    A monomial survives the quadric generators exactly when its support is
-    pairwise comparable, i.e. a chain; chains are enumerated by walking the
-    strict-containment DAG upward, distributing positive exponents as we go.
-    """
-    if degree == 0:
-        return [()]
-    out: list[Monomial] = []
-    stack: list[tuple[int, int]] = []
-
-    def walk(var: int, remaining: int) -> None:
-        for exp in range(1, remaining + 1):
-            stack.append((var, exp))
-            rest = remaining - exp
-            if rest == 0:
-                out.append(tuple(stack))
-            else:
-                for nxt in supersets[var]:
-                    walk(nxt, rest)
-            stack.pop()
-
-    for var in range(nvars):
-        walk(var, degree)
-    return out
-
-
-def chow_hilbert(
-    matroid: Matroid,
-    degree: int,
-    *,
-    exact: bool = False,
-    prime: int = DEFAULT_PRIME,
-) -> int:
+def chow_hilbert(matroid: Matroid, degree: int, *, exact: bool = False) -> int:
     """Dimension of the degree-d graded piece of the flat algebra.
 
-    Monomials containing an incomparable pair are struck out directly by the
-    quadric generators, and any linear-generator multiple whose monomial factor
-    is itself struck out reduces to zero on what remains. The computation
-    therefore counts chain-supported monomials and subtracts the rank of the
-    chain-supported multiples of the linear generators; the rank runs over
-    GF(prime) by default, or exactly over the rationals with exact=True.
+    Feichtner-Yuzvinsky (Invent. Math. 2004) give a Groebner basis with monic
+    leading terms over the integers, so the Hilbert function does not depend
+    on the field. It counts the basis monomials x_F1^a1 ... x_Fk^ak over the
+    chains of flats empty < F1 < ... < Fk with 1 <= a_i <= rk F_i - rk F_(i-1) - 1.
+    ending[F][e] counts the chains that end at F with exponent sum e, and the
+    value is the sum of ending[F][degree] over the nonempty flats F.
+
+    exact is accepted and ignored, since the count holds in every field;
+    bench/inprocess.py still passes it.
     """
-    pres = chow_presentation(matroid)
+    if len(matroid.loops()) != 0:
+        raise ValueError("the graded flat algebra requires a loopless matroid")
     r = matroid.rank
     if not 0 <= degree <= r - 1:
         raise ValueError(f"degree must lie in [0, {r - 1}], got {degree}")
-    if degree == 0:
+    # the exponents along a chain sum to at most rk F_k - k, so in degree r - 1
+    # only E itself counts, as in degree 0 only the empty chain does
+    if degree in (0, r - 1):
         return 1
-    if not exact:
-        require_prime(prime)
-
-    nvars = len(pres.flats)
-    if nvars == 0:
-        return 0
-    masks = [f.bits for f in pres.flats]
-    sizes = [m.bit_count() for m in masks]
-    supersets = [
-        [w for w in range(nvars) if w != v and masks[v] & ~masks[w] == 0]
-        for v in range(nvars)
-    ]
-    comparable = [
-        [masks[a] & ~masks[b] == 0 or masks[b] & ~masks[a] == 0 for b in range(nvars)]
-        for a in range(nvars)
-    ]
-
-    columns = _chain_monomials(degree, supersets, nvars)
-    col_index = {m: i for i, m in enumerate(columns)}
-
-    def bump(mono: Monomial, var: int) -> Monomial:
-        out = []
-        placed = False
-        for w, e in mono:
-            if w == var:
-                out.append((w, e + 1))
-                placed = True
-            else:
-                out.append((w, e))
-        if not placed:
-            out.append((var, 1))
-            out.sort(key=lambda t: sizes[t[0]])
-        return tuple(out)
-
-    rows: list[dict[int, int]] = []
-    seen: set[frozenset] = set()
-    for mono in _chain_monomials(degree - 1, supersets, nvars):
-        support = [w for w, _ in mono]
-        for gen in pres.linear_gens:
-            row: dict[int, int] = {}
-            for var, coeff in gen:
-                if all(comparable[var][s] for s in support):
-                    row[col_index[bump(mono, var)]] = coeff
-            if row:
-                key = frozenset(row.items())
-                if key not in seen:
-                    seen.add(key)
-                    rows.append(row)
-
-    return len(columns) - rank_rows_exact(rows, p=None if exact else prime)
+    # (rank, mask, ending) of the flats that can precede a flat of higher rank
+    # with a positive exponent; rank-1 flats end no chain, so they never enter
+    done: list[tuple[int, int, list[int]]] = [(0, 0, [1] + [0] * degree)]
+    total = 0
+    for k, level in enumerate(matroid.flats()[2:], start=2):
+        added = []
+        for flat in level:
+            counts = [0] * (degree + 1)
+            for j, g, ending in done:
+                if j <= k - 2 and g & ~flat.bits == 0:
+                    for e, c in enumerate(ending):
+                        for a in range(e + 1, min(e + k - j - 1, degree) + 1):
+                            counts[a] += c
+            total += counts[degree]
+            added.append((k, flat.bits, counts))
+        done.extend(added)
+    return total

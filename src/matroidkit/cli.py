@@ -42,6 +42,9 @@ from .transform import contraction, deletion, minor
 from .transform import dual as dual_of
 from .tutte import chromatic_polynomial, tutte_evaluate, tutte_polynomial
 
+# The most candidate r-subsets `uniform` and `linear` will enumerate.
+MAX_ENUMERATED = 10**6
+
 # -- file I/O ------------------------------------------------------------------
 
 
@@ -377,7 +380,7 @@ def cmd_polytope(args) -> int:
 def cmd_chow(args) -> int:
     m = load_matroid(args.file)
     if args.degree is not None:
-        print(chow_hilbert(m, args.degree, exact=args.exact))
+        print(chow_hilbert(m, args.degree))
         return 0
     pres = chow_presentation(m)
     if args.pretty:
@@ -396,7 +399,19 @@ def cmd_chow(args) -> int:
     return 0
 
 
+def _refuse_large_enumeration(n: int, r: int) -> None:
+    """Refuse to enumerate more than MAX_ENUMERATED candidate bases C(n, r).
+    C(n, i) grows with i up to n / 2, so the product stops at the first
+    partial value over the limit and never forms a huge binomial."""
+    count = 1
+    for i in range(min(r, n - r)):
+        count = count * (n - i) // (i + 1)
+        if count > MAX_ENUMERATED:
+            raise ValueError(f"C({n}, {r}) exceeds the limit of {MAX_ENUMERATED} candidate bases")
+
+
 def cmd_uniform(args) -> int:
+    _refuse_large_enumeration(args.n, args.rank)
     _emit_matroid(uniform_matroid(args.rank, args.n), args.pretty)
     return 0
 
@@ -407,8 +422,9 @@ def cmd_graphic(args) -> int:
 
 
 def cmd_linear(args) -> int:
-    field = parse_field(args.field)
-    _emit_matroid(linear_matroid(load_matrix(args.file, field)), args.pretty)
+    matrix = load_matrix(args.file, parse_field(args.field))
+    _refuse_large_enumeration(matrix.cols, matrix.rank())
+    _emit_matroid(linear_matroid(matrix), args.pretty)
     return 0
 
 
@@ -497,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("chow", cmd_chow, help="flat-algebra presentation, or one Hilbert value")
     p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--exact", action="store_true", help="rational arithmetic instead of GF(p)")
     p.add_argument("file")
 
     p = add("uniform", cmd_uniform, help="uniform matroid U(rank, n)")

@@ -221,16 +221,13 @@ class BivarPoly:
 
 
 def tutte_polynomial(matroid: Matroid) -> BivarPoly:
-    """Deletion-contraction on the smallest non-loop, non-coloop element,
-    memoized on the (deleted, contracted) mask pair; a state that is all
-    coloops and loops contributes x^(#coloops) * y^(#loops)."""
-    memo: dict[tuple[int, int], BivarPoly] = {}
+    """Deletion-contraction on the smallest non-loop, non-coloop element; a
+    state that is all coloops and loops contributes x^(#coloops) * y^(#loops).
 
-    def rec(dmask: int, cmask: int, ground: int, bases: list[int]) -> BivarPoly:
-        key = (dmask, cmask)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+    There is no memo: every state is reached by exactly one sequence of
+    deletions and contractions, so no state would ever be looked up twice."""
+
+    def rec(ground: int, bases: list[int]) -> BivarPoly:
         union = 0
         inter = ground
         for b in bases:
@@ -240,18 +237,13 @@ def tutte_polynomial(matroid: Matroid) -> BivarPoly:
         coloops = inter
         rest = ground & ~loops & ~coloops
         if rest == 0:
-            result = BivarPoly.monomial(coloops.bit_count(), loops.bit_count())
-        else:
-            bit = rest & -rest
-            deleted = [b for b in bases if not b & bit]
-            contracted = [b ^ bit for b in bases if b & bit]
-            result = rec(dmask | bit, cmask, ground ^ bit, deleted) + rec(
-                dmask, cmask | bit, ground ^ bit, contracted
-            )
-        memo[key] = result
-        return result
+            return BivarPoly.monomial(coloops.bit_count(), loops.bit_count())
+        bit = rest & -rest
+        deleted = [b for b in bases if not b & bit]
+        contracted = [b ^ bit for b in bases if b & bit]
+        return rec(ground ^ bit, deleted) + rec(ground ^ bit, contracted)
 
-    return rec(0, 0, (1 << matroid.n) - 1, list(matroid.basis_masks))
+    return rec((1 << matroid.n) - 1, list(matroid.basis_masks))
 
 
 def tutte_evaluate(matroid: Matroid, x: int, y: int) -> int:

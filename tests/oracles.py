@@ -22,6 +22,7 @@ from matroidkit import (
     linear_matroid,
     uniform_matroid,
 )
+from matroidkit.linalg import rank_rows_exact
 from matroidkit.subsets import iter_bits
 
 
@@ -304,6 +305,85 @@ def naive_chow_hilbert(m: Matroid, degree: int) -> int:
                 row[columns[tuple(sorted(mono + (var,)))]] += coeff
             rows.append(row)
     return len(columns) - brute_matrix_rank(rows)
+
+
+def _chain_monomials(degree: int, supersets: list[list[int]], nvars: int) -> list[tuple]:
+    """Degree-d monomials, as ((variable, exponent), ...) in ascending flat
+    order, whose variable support is a chain of flats.
+
+    A monomial survives the quadric generators exactly when its support is
+    pairwise comparable, i.e. a chain; chains are enumerated by walking the
+    strict-containment DAG upward, distributing positive exponents as we go.
+    """
+    if degree == 0:
+        return [()]
+    out: list[tuple] = []
+    stack: list[tuple[int, int]] = []
+
+    def walk(var: int, remaining: int) -> None:
+        for exp in range(1, remaining + 1):
+            stack.append((var, exp))
+            rest = remaining - exp
+            if rest == 0:
+                out.append(tuple(stack))
+            else:
+                for nxt in supersets[var]:
+                    walk(nxt, rest)
+            stack.pop()
+
+    for var in range(nvars):
+        walk(var, degree)
+    return out
+
+
+def chain_chow_hilbert(m: Matroid, degree: int, p: int | None = None) -> int:
+    """Hilbert value by elimination over the chain-supported monomials, over
+    the rationals or, when p is given, over GF(p).
+
+    Monomials containing an incomparable pair are struck out directly by the
+    quadric generators, and any linear-generator multiple whose monomial
+    factor is itself struck out reduces to zero on what remains. The value is
+    therefore the count of chain-supported monomials minus the rank of the
+    chain-supported multiples of the linear generators, by `rank_rows_exact`.
+    """
+    pres = chow_presentation(m)
+    if degree == 0:
+        return 1
+    nvars = len(pres.flats)
+    if nvars == 0:
+        return 0
+    masks = [f.bits for f in pres.flats]
+    sizes = [mask.bit_count() for mask in masks]
+    supersets = [
+        [w for w in range(nvars) if w != v and masks[v] & ~masks[w] == 0]
+        for v in range(nvars)
+    ]
+    comparable = [
+        [masks[a] & ~masks[b] == 0 or masks[b] & ~masks[a] == 0 for b in range(nvars)]
+        for a in range(nvars)
+    ]
+    columns = _chain_monomials(degree, supersets, nvars)
+    # numbered from the end, so the echelon pivots on monomials in the larger
+    # flats first; over the rationals that keeps the fill-in small
+    col_index = {mono: len(columns) - 1 - i for i, mono in enumerate(columns)}
+
+    def bump(mono: tuple, var: int) -> tuple:
+        exps = dict(mono)
+        exps[var] = exps.get(var, 0) + 1
+        return tuple(sorted(exps.items(), key=lambda t: sizes[t[0]]))
+
+    rows: dict[frozenset, dict[int, int]] = {}
+    for mono in _chain_monomials(degree - 1, supersets, nvars):
+        support = [w for w, _ in mono]
+        for gen in pres.linear_gens:
+            row = {
+                col_index[bump(mono, var)]: coeff
+                for var, coeff in gen
+                if all(comparable[var][s] for s in support)
+            }
+            if row:
+                rows.setdefault(frozenset(row.items()), row)
+    return len(columns) - rank_rows_exact(list(rows.values()), p=p)
 
 
 def fy_chow_hilbert(m: Matroid) -> list[int]:

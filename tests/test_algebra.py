@@ -3,6 +3,7 @@ from random import Random
 import pytest
 
 from matroidkit import (
+    ExactMatrix,
     Matroid,
     chow_hilbert,
     chow_presentation,
@@ -10,10 +11,13 @@ from matroidkit import (
     components,
     deletion,
     graphic_matroid,
+    linear_matroid,
     polytope_vertices,
     uniform_matroid,
 )
-from oracles import fy_chow_hilbert, naive_chow_hilbert, random_matroid
+from oracles import chain_chow_hilbert, fy_chow_hilbert, naive_chow_hilbert, random_matroid
+
+PRIME = 1073741789
 
 
 def test_polytope_k4(m4):
@@ -95,15 +99,46 @@ def test_chow_hilbert_matches_full_elimination(m4):
             assert chow_hilbert(m, d) == naive_chow_hilbert(m, d)
 
 
-def test_chow_hilbert_exact_matches_modp(m4):
-    for m in (uniform_matroid(3, 5), m4):
+@pytest.mark.parametrize("name", ["vamos", "m5", "u47", "u56"])
+def test_chow_hilbert_matches_chain_elimination(request, name):
+    # the count against the elimination over chain-supported monomials, in
+    # both fields and every degree
+    uniform = {"u47": (4, 7), "u56": (5, 6)}
+    m = uniform_matroid(*uniform[name]) if name in uniform else request.getfixturevalue(name)
+    for d in range(m.rank):
+        value = chow_hilbert(m, d)
+        assert value == chain_chow_hilbert(m, d) == chain_chow_hilbert(m, d, p=PRIME)
+
+
+def test_chow_hilbert_random_matches_chain_elimination():
+    rng = Random(53)
+    done = parallel = 0
+    while done < 60:
+        m = random_matroid(rng, max_n=7)
+        loops = m.loops()
+        if len(loops):
+            m = deletion(m, loops)
+        if not 2 <= m.rank <= 4:
+            continue
+        if any(len(f) > 1 for f in m.flats()[1]):
+            parallel += 1
         for d in range(m.rank):
-            assert chow_hilbert(m, d, exact=True) == chow_hilbert(m, d)
+            p = PRIME if d % 2 else 3
+            value = chow_hilbert(m, d)
+            assert value == chain_chow_hilbert(m, d) == chain_chow_hilbert(m, d, p=p)
+        done += 1
+    assert parallel >= 10
 
 
-def test_chow_hilbert_degree_one_formula(m4, m5):
-    # connected loopless: dim in degree 1 is #variables - (n - 1)
-    for m in (m4, m5, uniform_matroid(2, 4)):
+def test_chow_hilbert_degree_one_formula(m4, m5, vamos):
+    # one basis monomial x_F per flat F of rank >= 2, the top flat included;
+    # for a simple matroid that is #variables - (n - 1). The GF(2) columns
+    # below are e1, e2, e1 + e2, e3 and e1 again, so 0 and 4 are parallel.
+    parallel = linear_matroid(ExactMatrix([[1, 0, 1, 0, 1], [0, 1, 1, 0, 0], [0, 0, 0, 1, 0]], field=2))
+    assert parallel.flats()[1][0].indices() == (0, 4)
+    for m in (m4, m5, vamos, uniform_matroid(2, 4), parallel):
+        assert chow_hilbert(m, 1) == sum(m.fvector()[2:])
+    for m in (m4, m5, vamos, uniform_matroid(2, 4)):
         pres = chow_presentation(m)
         assert chow_hilbert(m, 1) == len(pres.flats) - (m.n - 1)
 
@@ -131,7 +166,6 @@ def test_chow_hilbert_matches_fy_basis_count(request, name, expected):
     m = uniform_matroid(4, 7) if name == "u47" else request.getfixturevalue(name)
     assert fy_chow_hilbert(m) == expected
     assert [chow_hilbert(m, d) for d in range(m.rank)] == expected
-    assert [chow_hilbert(m, d, exact=True) for d in range(m.rank)] == expected
 
 
 def test_chow_hilbert_u56_matches_fy_basis_count():
@@ -153,5 +187,4 @@ def test_chow_hilbert_random_matches_fy_basis_count():
             continue
         expected = fy_chow_hilbert(m)
         assert [chow_hilbert(m, d) for d in range(m.rank)] == expected
-        assert [chow_hilbert(m, d, exact=True) for d in range(m.rank)] == expected
         done += 1

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -204,6 +205,38 @@ def test_chow_command(capsys, tmp_path):
     assert len(doc["variables"]) == 3 and len(doc["quadrics"]) == 3
     code, out, _ = invoke(capsys, "chow", "--degree", "1", str(m_path))
     assert out.strip() == "1"
+
+
+@pytest.mark.parametrize("name, value", [("fano", "8"), ("vamos", "70")])
+def test_chow_degree_one_output(capsys, tmp_path, name, value):
+    _, out, _ = invoke(capsys, "named", name)
+    path = tmp_path / f"{name}.json"
+    path.write_text(out)
+    code, out, err = invoke(capsys, "chow", "--degree", "1", str(path))
+    assert (code, out, err) == (0, value + "\n", "")
+
+
+def test_chow_exact_flag_is_a_usage_error(capsys, tmp_path):
+    _, out, _ = invoke(capsys, "named", "fano")
+    path = tmp_path / "fano.json"
+    path.write_text(out)
+    code, out, err = invoke(capsys, "chow", "--degree", "1", "--exact", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("usage:") and "Traceback" not in err
+
+
+def test_large_enumerations_are_refused_up_front(capsys, tmp_path):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "uniform", "--rank", "10", "--n", "40")
+    assert code == 1 and out == "" and err.startswith("error:") and "C(40, 10)" in err
+    code, out, err = invoke(capsys, "uniform", "--rank", str(10**9), "--n", str(2 * 10**9))
+    assert code == 1 and out == "" and err.startswith("error:")
+    rows = [[str(int(i == j or (i + 1) * (j + 1) % 7 == 3)) for j in range(40)] for i in range(10)]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"format": "matrix-v1", "rows": 10, "cols": 40, "entries": rows}))
+    code, out, err = invoke(capsys, "linear", "--field", "p:2", str(path))
+    assert code == 1 and out == "" and err.startswith("error:") and "C(40, 10)" in err
+    assert time.perf_counter() - start < 5
 
 
 def test_uniform_and_named(capsys):

@@ -3,7 +3,6 @@ from random import Random
 
 import pytest
 
-from matroidkit import chow_hilbert, specific_matroid
 from matroidkit.linalg import ExactMatrix, rank_rows_exact, rank_rows_mod_p_dense
 from oracles import brute_matrix_rank
 
@@ -95,11 +94,8 @@ def test_mod_p_dense_name_forwards():
 def test_bad_modulus_is_refused(bad):
     with pytest.raises(ValueError, match="not a prime below 2"):
         ExactMatrix([[1, 0], [0, 1]], field=bad)
-    with pytest.raises(ValueError, match="not a prime below 2"):
-        chow_hilbert(specific_matroid("fano"), 1, prime=bad)
 
 
 def test_largest_accepted_modulus():
     big = 2**31 - 1  # a Mersenne prime, the largest prime below 2^31
     assert ExactMatrix([[1, 2], [2, 4]], field=big).rank() == 1
-    assert chow_hilbert(specific_matroid("fano"), 1, prime=big) == 8
