@@ -28,12 +28,11 @@ from .construct import (
     direct_sum,
     graphic_matroid,
     linear_matroid,
-    matroid_from_nonbases,
     specific_matroid,
     uniform_matroid,
 )
 from .core import Matroid
-from .graphs import Graph, get_cycles, graph_from_edges
+from .graphs import Graph, component_count, get_cycles, graph_from_edges
 from .linalg import ExactMatrix
 from .optimize import greedy
 from .search import has_minor, isomorphism
@@ -42,7 +41,7 @@ from .transform import contraction, deletion, minor
 from .transform import dual as dual_of
 from .tutte import chromatic_polynomial, tutte_evaluate, tutte_polynomial
 
-# The most candidate r-subsets `uniform` and `linear` will enumerate.
+# The most candidate r-subsets `uniform`, `linear` and `graphic` will enumerate.
 MAX_ENUMERATED = 10**6
 
 # -- file I/O ------------------------------------------------------------------
@@ -417,7 +416,9 @@ def cmd_uniform(args) -> int:
 
 
 def cmd_graphic(args) -> int:
-    _emit_matroid(graphic_matroid(load_graph(args.file)), args.pretty)
+    graph = load_graph(args.file)
+    _refuse_large_enumeration(len(graph.edges), graph.v - component_count(graph))
+    _emit_matroid(graphic_matroid(graph), args.pretty)
     return 0
 
 

@@ -7,9 +7,9 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .core import Matroid, SubsetLike, as_mask
-from .graphs import Graph, component_count, get_cycles
-from .linalg import ExactMatrix
-from .subsets import GroundSubset, iter_bits, mask_from_indices, minimal_masks
+from .graphs import Graph
+from .linalg import ExactMatrix, echelon_insert
+from .subsets import GroundSubset, mask_from_indices
 from .transform import restriction
 
 FANO_NONBASES = (
@@ -41,69 +41,80 @@ def uniform_matroid(rank: int, n: int) -> Matroid:
     return Matroid._from_masks(n, masks)
 
 
+def _bases(n: int, start, extend) -> list[int]:
+    """Bases of the matroid on range(n) whose independent sets grow by extend.
+
+    extend(state, e) returns the state of an independent set of elements below
+    e plus e, or None when e depends on the set. The bases are listed depth
+    first in index order (Read and Tarjan, Networks 1975). A dependent element
+    is left out for free, any other only while the set plus the later elements
+    still reaches the rank, so every branch ends in a basis.
+    """
+
+    def reach(state, e: int, need: int) -> int:
+        # size of the greedy extension by the elements from e on, capped at need
+        got = 0
+        for f in range(e, n):
+            nxt = extend(state, f)
+            if nxt is not None:
+                state, got = nxt, got + 1
+                if got == need:
+                    break
+        return got
+
+    bases: list[int] = []
+    # pending branches: (state, mask, elements still needed, next element)
+    stack = [(start, 0, reach(start, 0, n), 0)]
+    while stack:
+        state, mask, need, e = stack.pop()
+        if need == 0:
+            bases.append(mask)
+        elif need == 1:
+            bases += [mask | 1 << f for f in range(e, n) if extend(state, f) is not None]
+        else:
+            for f in range(e, n):
+                nxt = extend(state, f)
+                if nxt is not None:
+                    if n - f > need and reach(state, f + 1, need) == need:
+                        stack.append((state, mask, need, f + 1))
+                    stack.append((nxt, mask | 1 << f, need - 1, f + 1))
+                    break
+    return bases
+
+
 def linear_matroid(matrix: ExactMatrix) -> Matroid:
-    """Column matroid of an exact matrix: bases are the full-rank column r-subsets."""
-    r = matrix.rank()
-    masks = [
-        mask_from_indices(combo, matrix.cols)
-        for combo in combinations(range(matrix.cols), r)
-        if matrix.rank(combo) == r
-    ]
+    """Column matroid of an exact matrix, grown one echelon step per column."""
+    cols = [{i: r[j] for i, r in enumerate(matrix.entries) if r[j]} for j in range(matrix.cols)]
+
+    def extend(pivots: dict, j: int) -> dict | None:
+        new = dict(pivots)
+        return new if echelon_insert(new, dict(cols[j]), matrix.field) else None
+
     labels = tuple(matrix.column_label(j) for j in range(matrix.cols))
-    return Matroid._from_masks(matrix.cols, masks, labels)
+    return Matroid._from_masks(matrix.cols, _bases(matrix.cols, {}, extend), labels)
 
 
 def matroid_from_circuits(
-    n: int,
-    circuits: Iterable[SubsetLike],
-    target_rank: int | None = None,
-    labels: Sequence[str] | None = None,
+    n: int, circuits: Iterable[SubsetLike], labels: Sequence[str] | None = None
 ) -> Matroid:
     """Matroid whose independent sets are exactly the circuit-free subsets.
 
-    The given family is reduced to its inclusion-minimal members. The rank is
-    the size of a greedily grown maximal circuit-free set; the bases are then
-    enumerated by backtracking over rank-sized circuit-free subsets.
+    Each circuit is indexed under its largest element: a set grown in index
+    order first holds a circuit when that element arrives. Only the
+    inclusion-minimal members of the family matter.
     """
-    raw = []
+    by_top: list[list[int]] = [[] for _ in range(n)]
     for c in circuits:
         m = as_mask(c, n)
         if m == 0:
             raise ValueError("the empty set cannot be a circuit")
-        raw.append(m)
-    circ = minimal_masks(raw)
-    by_elem: list[list[int]] = [[] for _ in range(n)]
-    for c in circ:
-        for e in iter_bits(c):
-            by_elem[e].append(c)
+        by_top[m.bit_length() - 1].append(m)
 
-    def blocked(candidate: int, e: int) -> bool:
-        return any(c & ~candidate == 0 for c in by_elem[e])
+    def extend(mask: int, e: int) -> int | None:
+        new = mask | 1 << e
+        return None if any(c & ~new == 0 for c in by_top[e]) else new
 
-    grown = 0
-    for e in range(n):
-        new = grown | 1 << e
-        if not blocked(new, e):
-            grown = new
-    rank = grown.bit_count()
-    if target_rank is not None and target_rank != rank:
-        raise ValueError(f"circuits force rank {rank}, not the requested {target_rank}")
-
-    bases: list[int] = []
-
-    def grow(start: int, current: int, size: int) -> None:
-        if size == rank:
-            bases.append(current)
-            return
-        for e in range(start, n):
-            if n - e < rank - size:
-                break
-            new = current | 1 << e
-            if not blocked(new, e):
-                grow(e + 1, new, size + 1)
-
-    grow(0, 0, 0)
-    return Matroid._from_masks(n, bases, labels)
+    return Matroid._from_masks(n, _bases(n, 0, extend), labels)
 
 
 def matroid_from_nonbases(
@@ -129,13 +140,19 @@ def matroid_from_nonbases(
 
 
 def graphic_matroid(graph: Graph) -> Matroid:
-    """Matroid on the edges of a graph whose circuits are the simple cycles."""
-    cycles = get_cycles(graph)
-    target = graph.v - component_count(graph)
-    labels = tuple("{%d, %d}" % e for e in graph.edges)
-    return matroid_from_circuits(
-        len(graph.edges), [c.edge_indices for c in cycles], target, labels
-    )
+    """Matroid on the edges of a graph whose circuits are the simple cycles:
+    an edge extends a forest when its ends lie in different components. The
+    state is a string with one component label per vertex, so that joining
+    two components is one str.replace."""
+    ends = graph.edges
+
+    def extend(comp: str, e: int) -> str | None:
+        a, b = comp[ends[e][0]], comp[ends[e][1]]
+        return None if a == b else comp.replace(a, b)
+
+    start = "".join(map(chr, range(graph.v)))
+    labels = tuple("{%d, %d}" % e for e in ends)
+    return Matroid._from_masks(len(ends), _bases(len(ends), start, extend), labels)
 
 
 def specific_matroid(name: str) -> Matroid:
@@ -174,24 +191,13 @@ def components(matroid: Matroid) -> list[Matroid]:
     a direct sum of connected pieces is reproduced by summing the results.
     """
     n = matroid.n
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    comp = "".join(map(chr, range(n)))  # one component label per element
     for circ in matroid.circuits():
-        elems = circ.indices()
-        for a, b in zip(elems, elems[1:]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-    parts: dict[int, int] = {}
-    for e in range(n):
-        root = find(e)
-        parts[root] = parts.get(root, 0) | 1 << e
-    ordered = sorted(parts.values(), key=lambda m: (m & -m).bit_length())
-    return [restriction(matroid, GroundSubset(m, n)) for m in ordered]
+        first, *rest = circ.indices()
+        for e in rest:
+            comp = comp.replace(comp[e], comp[first])
+    parts: dict[str, int] = {}
+    for e, label in enumerate(comp):
+        parts[label] = parts.get(label, 0) | 1 << e
+    # each part is first met at its minimum element
+    return [restriction(matroid, GroundSubset(m, n)) for m in parts.values()]

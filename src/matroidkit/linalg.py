@@ -66,13 +66,9 @@ class ExactMatrix:
         self.field = field
         self.entries = entries
 
-    def rank(self, columns: Sequence[int] | None = None) -> int:
-        """Rank of the matrix, or of the submatrix on the given columns, which
-        may repeat: each row becomes a sparse row keyed by position in columns."""
-        if columns is None:
-            columns = range(self.cols)
-        rows = [{k: r[c] for k, c in enumerate(columns)} for r in self.entries]
-        return rank_rows_exact(rows, p=self.field)
+    def rank(self) -> int:
+        """Rank of the matrix: each row becomes a sparse row keyed by column."""
+        return rank_rows_exact([dict(enumerate(r)) for r in self.entries], p=self.field)
 
     def column(self, j: int) -> tuple:
         return tuple(r[j] for r in self.entries)
@@ -99,39 +95,46 @@ def rank_rows_exact(rows: list[Mapping[int, int | Fraction]], p: int | None = No
     """Rank of sparse rows over GF(p), or over the rationals when p is None.
 
     Each row maps a column index to an integer or Fraction entry; absent and
-    zero entries are zero. Rows come as a list. Over GF(p) the entries must be
-    integers. This is the library's only row reduction: a streaming echelon
-    in which each incoming row is reduced against the pivot rows kept so far,
-    one per leading column, and becomes a new pivot row if anything is left.
-    p must be prime; callers validate it with `require_prime`.
+    zero entries are zero. Over GF(p) the entries must be integers, and p must
+    be prime (callers validate it with `require_prime`). This is the library's
+    only row reduction: a streaming echelon fed one row at a time through
+    `echelon_insert`.
     """
     pivots: dict[int, dict] = {}
     for raw in rows:
         if p is None:
-            row = {c: Fraction(v) for c, v in raw.items() if v}
+            echelon_insert(pivots, {c: Fraction(v) for c, v in raw.items() if v})
         else:
-            row = {c: v % p for c, v in raw.items() if v % p}
-        while row:
-            c = min(row)
-            f = row.pop(c)
-            piv = pivots.get(c)
-            if piv is None:
-                # store the row scaled to a leading 1, leading entry left implicit
-                if p is None:
-                    pivots[c] = {k: v / f for k, v in row.items()}
-                else:
-                    inv = pow(f, -1, p)
-                    pivots[c] = {k: v * inv % p for k, v in row.items()}
-                break
-            for k, v in piv.items():
-                nv = row.get(k, 0) - f * v
-                if p is not None:
-                    nv %= p
-                if nv:
-                    row[k] = nv
-                else:
-                    row.pop(k, None)
+            echelon_insert(pivots, {c: v % p for c, v in raw.items() if v % p}, p)
     return len(pivots)
+
+
+def echelon_insert(pivots: dict[int, dict], row: dict, p: int | None = None) -> bool:
+    """Reduce row, whose entries are nonzero Fractions or residues mod p,
+    against the pivot rows kept so far, one per leading column. Store what is
+    left as a new pivot row and return True, or return False when nothing is
+    left. The row is consumed."""
+    while row:
+        c = min(row)
+        f = row.pop(c)
+        piv = pivots.get(c)
+        if piv is None:
+            # store the row scaled to a leading 1, leading entry left implicit
+            if p is None:
+                pivots[c] = {k: v / f for k, v in row.items()}
+            else:
+                inv = pow(f, -1, p)
+                pivots[c] = {k: v * inv % p for k, v in row.items()}
+            return True
+        for k, v in piv.items():
+            nv = row.get(k, 0) - f * v
+            if p is not None:
+                nv %= p
+            if nv:
+                row[k] = nv
+            else:
+                row.pop(k, None)
+    return False
 
 
 def rank_rows_mod_p_dense(rows: list[Mapping[int, int]], ncols: int, p: int) -> int:

@@ -128,6 +128,40 @@ def brute_cycle_count(g: Graph) -> int:
     return count
 
 
+def _count_components(v: int, edges) -> int:
+    """Connected components of the graph on v vertices, by depth-first search."""
+    adj: list[list[int]] = [[] for _ in range(v)]
+    for u, w in edges:
+        adj[u].append(w)
+        adj[w].append(u)
+    seen: set[int] = set()
+    count = 0
+    for s in range(v):
+        if s in seen:
+            continue
+        count += 1
+        seen.add(s)
+        stack = [s]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return count
+
+
+def brute_graphic_bases(g: Graph) -> set[int]:
+    """Spanning forests as edge masks: the (v - c)-edge subsets F whose
+    subgraph (V, F) still has the c components of g, which for v - c edges
+    holds exactly when F has no cycle."""
+    c = _count_components(g.v, g.edges)
+    return {
+        sum(1 << i for i in combo)
+        for combo in combinations(range(len(g.edges)), g.v - c)
+        if _count_components(g.v, [g.edges[i] for i in combo]) == c
+    }
+
+
 def brute_coloring_count(g: Graph, colors: int) -> int:
     count = 0
     for assignment in range(colors**g.v) if g.v else range(1):
@@ -269,6 +303,17 @@ def brute_matrix_rank(grid, p: int | None = None) -> int:
                 work[i] = [(a - f * b) % p for a, b in zip(work[i], top)]
         rank += 1
     return rank
+
+
+def brute_linear_bases(grid, ncols: int, p: int | None = None) -> set[int]:
+    """Column bases as masks: the r-subsets of columns whose submatrix has the
+    rank r of the whole matrix."""
+    r = brute_matrix_rank(grid, p)
+    return {
+        sum(1 << j for j in combo)
+        for combo in combinations(range(ncols), r)
+        if brute_matrix_rank([[row[j] for j in combo] for row in grid], p) == r
+    }
 
 
 # -- algebra -----------------------------------------------------------------------

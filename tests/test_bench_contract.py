@@ -44,14 +44,21 @@ def test_traced_names_resolve_and_elimination_spans_fire():
     uninstall = spans.install(tracer)
     try:
         calls = [
-            lambda: matroidkit.linear_matroid(ExactMatrix([[1, 2, 0], [0, 1, 1]])),
-            lambda: matroidkit.linear_matroid(ExactMatrix([[1, 2, 0], [0, 1, 1]], field=3)),
+            lambda: ExactMatrix([[1, 2, 0], [0, 1, 1]]).rank(),
+            lambda: ExactMatrix([[1, 2, 0], [0, 1, 1]], field=3).rank(),
             lambda: matroidkit.polytope_vertices(matroidkit.specific_matroid("fano")),
         ]
         for call in calls:
             before = elim_calls()
             call()
             assert elim_calls() > before
+        # a column matroid grows its bases one echelon step at a time, with no
+        # whole elimination
+        before = elim_calls()
+        for field in (None, 3):
+            linear = matroidkit.linear_matroid(ExactMatrix([[1, 2, 0], [0, 1, 1]], field=field))
+            assert len(linear.bases) == 3
+        assert elim_calls() == before
         # the Hilbert function is a count over the flats, with no elimination
         before = elim_calls()
         assert matroidkit.chow_hilbert(matroidkit.uniform_matroid(3, 4), 1, exact=True) == 7

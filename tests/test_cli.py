@@ -239,6 +239,26 @@ def test_large_enumerations_are_refused_up_front(capsys, tmp_path):
     assert time.perf_counter() - start < 5
 
 
+def test_graphic_command_refuses_dense_graphs(capsys, tmp_path):
+    """A spanning forest of K_v has v - 1 of the C(v, 2) edges, so K8 is the
+    first complete graph over the limit: C(28, 7) > 10^6."""
+    start = time.perf_counter()
+    for v, binom in ((12, "C(66, 11)"), (8, "C(28, 7)")):
+        edges = [[u, w] for u in range(v) for w in range(u + 1, v)]
+        path = tmp_path / f"k{v}.json"
+        path.write_text(json.dumps({"format": "graph-v1", "v": v, "edges": edges}))
+        code, out, err = invoke(capsys, "graphic", str(path))
+        assert code == 1 and out == "" and err.startswith("error:") and binom in err
+        assert "Traceback" not in err
+    assert time.perf_counter() - start < 5
+    # two disjoint K5s: 20 edges of rank 8, C(20, 8) = 125,970 candidates
+    k5 = [[u, w] for u in range(5) for w in range(u + 1, 5)]
+    path = tmp_path / "two_k5.json"
+    path.write_text(json.dumps({"format": "graph-v1", "v": 10, "edges": k5 + [[u + 5, w + 5] for u, w in k5]}))
+    code, out, _ = invoke(capsys, "graphic", str(path))
+    assert code == 0 and len(json.loads(out)["bases"]) == 125**2
+
+
 def test_uniform_and_named(capsys):
     code, out, _ = invoke(capsys, "uniform", "--rank", "2", "--n", "4")
     assert len(json.loads(out)["bases"]) == 6

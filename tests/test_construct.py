@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -9,6 +10,8 @@ from matroidkit import (
     complete_graph,
     components,
     direct_sum,
+    generalized_petersen,
+    get_cycles,
     graph_from_edges,
     graphic_matroid,
     linear_matroid,
@@ -18,6 +21,7 @@ from matroidkit import (
     uniform_matroid,
 )
 from matroidkit.construct import FANO_NONBASES
+from oracles import brute_graphic_bases, brute_linear_bases, brute_matrix_rank
 
 
 def indices(subsets):
@@ -73,6 +77,83 @@ def test_linear_matroid_rref_invariant():
                 assert linear_matroid(ExactMatrix(grid, field=field)) == want
 
 
+@pytest.mark.parametrize("p", (None, 2, 3, 7))
+def test_linear_matroid_matches_subset_oracle(p):
+    """Seeded matrices, some with zero columns, parallel columns, no nonzero
+    entry, or no rows at all."""
+    rng = Random(300 + (p or 0))
+    pool = [0, 1, -1, 2, -3, 5, 14] + ([Fraction(2, 3), Fraction(-5, 7)] if p is None else [])
+
+    def zero(x):
+        return (x % p if p else x) == 0
+
+    seen = set()
+    for _ in range(150):
+        nrows, ncols = rng.randint(0, 4), rng.randint(0, 8)
+        grid = [[rng.choice(pool) for _ in range(ncols)] for _ in range(nrows)]
+        if ncols and rng.random() < 0.3:
+            j = rng.randrange(ncols)
+            for row in grid:
+                row[j] = 0
+        if ncols > 1 and rng.random() < 0.3:
+            j, k = rng.sample(range(ncols), 2)
+            c = rng.choice([-2, 1, 3])
+            for row in grid:
+                row[k] = c * row[j]
+        if rng.random() < 0.05:
+            grid = [[0] * ncols for _ in range(nrows)]
+        m = linear_matroid(ExactMatrix(grid, field=p, cols=ncols))
+        assert set(m.basis_masks) == brute_linear_bases(grid, ncols, p)
+        columns = [[row[j] for row in grid] for j in range(ncols)]
+        nonzero = [col for col in columns if not all(map(zero, col))]
+        if nrows == 0:
+            seen.add("no rows")
+        elif ncols and not nonzero:
+            seen.add("zero matrix")
+        elif len(nonzero) < ncols:
+            seen.add("zero column")
+        if any(brute_matrix_rank([a, b], p) == 1 for a, b in combinations(nonzero, 2)):
+            seen.add("parallel columns")
+    assert seen == {"no rows", "zero matrix", "zero column", "parallel columns"}
+
+
+def seeded_graphs(count=200):
+    """Graphs on up to 7 vertices with at most 12 edges, of every density."""
+    rng = Random(23)
+    for _ in range(count):
+        v = rng.randint(0, 7)
+        density = rng.random()
+        edges = [e for e in combinations(range(v), 2) if rng.random() < density]
+        rng.shuffle(edges)
+        yield graph_from_edges(v, edges[:12])
+
+
+def test_graphic_matroid_matches_forest_oracle():
+    seen = set()
+    for g in seeded_graphs():
+        m = graphic_matroid(g)
+        assert set(m.basis_masks) == brute_graphic_bases(g)
+        touched = {u for e in g.edges for u in e}
+        if not g.edges:
+            seen.add("no edges")
+            continue
+        if len(touched) < g.v:
+            seen.add("isolated vertices")
+        if m.rank < len(touched) - 1:  # two or more components with edges
+            seen.add("disconnected")
+        if m.rank == len(g.edges):
+            assert m.coloops().bits == (1 << m.n) - 1
+            seen.add("forest")
+    assert seen == {"no edges", "isolated vertices", "disconnected", "forest"}
+
+
+def test_graphic_circuits_are_the_cycles():
+    graphs = list(seeded_graphs(60)) + [complete_graph(5), generalized_petersen(5, 2)]
+    for g in graphs:
+        circuits = {c.bits for c in graphic_matroid(g).circuits()}
+        assert circuits == {c.edge_indices.bits for c in get_cycles(g)}
+
+
 def test_graphic_matroid_counts(m5, m4):
     assert len(m5.bases) == 125  # Cayley: 5^3 spanning trees
     assert len(m4.bases) == 16
@@ -80,7 +161,7 @@ def test_graphic_matroid_counts(m5, m4):
 
 
 def test_graphic_matroid_cayley():
-    for n in (2, 3, 4, 5, 6):
+    for n in (2, 3, 4, 5, 6, 7):
         assert len(graphic_matroid(complete_graph(n)).bases) == n ** (n - 2)
 
 
@@ -90,9 +171,17 @@ def test_graphic_matroid_tree():
     assert len(m.bases) == 1 and m.coloops().indices() == (0, 1)
 
 
+def test_rank_above_the_recursion_limit():
+    """The basis search keeps its own stack, so a rank above Python's default
+    recursion limit of 1000 builds."""
+    path = graph_from_edges(1101, [(i, i + 1) for i in range(1100)])
+    m = graphic_matroid(path)
+    assert m.rank == 1100 and m.basis_masks == ((1 << 1100) - 1,)
+
+
 def test_matroid_from_circuits(running_example):
-    m1 = matroid_from_circuits(4, [[1, 2], [3]], 2)
-    assert m1 == running_example
+    m1 = matroid_from_circuits(4, [[1, 2], [3]])
+    assert m1 == running_example and m1.rank == 2
     assert matroid_from_circuits(3, []) == uniform_matroid(3, 3)
     all_triples = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
     assert matroid_from_circuits(4, all_triples) == uniform_matroid(2, 4)
@@ -100,12 +189,12 @@ def test_matroid_from_circuits(running_example):
 
 def test_matroid_from_circuits_reduces_to_minimal(running_example):
     # {1,2,3} contains the circuit {3} and must be discarded
-    assert matroid_from_circuits(4, [[1, 2], [3], [1, 2, 3]], 2) == running_example
+    assert matroid_from_circuits(4, [[1, 2], [3], [1, 2, 3]]) == running_example
 
 
 def test_matroid_from_circuits_errors():
-    with pytest.raises(ValueError):
-        matroid_from_circuits(4, [[1, 2], [3]], target_rank=3)
+    # the circuits fix the rank; there is no rank to ask for
+    assert matroid_from_circuits(4, [[1, 2], [3]]).rank == 2
     with pytest.raises(ValueError):
         matroid_from_circuits(4, [[]])
 
