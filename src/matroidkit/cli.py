@@ -43,6 +43,8 @@ from .tutte import chromatic_polynomial, tutte_evaluate, tutte_polynomial
 
 # The most candidate r-subsets `uniform`, `linear` and `graphic` will enumerate.
 MAX_ENUMERATED = 10**6
+# The largest matroid ground set and graph vertex count the loaders accept.
+MAX_GROUND = 4096
 
 # -- file I/O ------------------------------------------------------------------
 
@@ -75,6 +77,8 @@ def load_matroid(path: str) -> Matroid:
     bases = obj.get("bases")
     if not _is_int(n) or not isinstance(bases, list):
         raise ValueError("matroid-v1 needs integer 'n' and a list 'bases'")
+    if n > MAX_GROUND:
+        raise ValueError(f"n = {n} exceeds the limit of {MAX_GROUND} elements")
     if not all(isinstance(b, list) and all(map(_is_int, b)) for b in bases):
         raise ValueError("every basis must be a list of integer indices")
     labels = obj.get("labels")
@@ -103,6 +107,8 @@ def load_graph(path: str) -> Graph:
             raise ValueError("graph-v1 needs integer 'v' and a list 'edges'")
         if not all(isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges):
             raise ValueError("every edge must be a pair of integer vertices")
+        if v > MAX_GROUND:
+            raise ValueError(f"v = {v} exceeds the limit of {MAX_GROUND} vertices")
         return graph_from_edges(v, [tuple(e) for e in edges])
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -114,6 +120,8 @@ def load_graph(path: str) -> Graph:
         raise ValueError("graph text format is 'v m' then m lines 'u w'") from None
     if len(edges) != m:
         raise ValueError(f"expected {m} edge lines, found {len(edges)}")
+    if v > MAX_GROUND:
+        raise ValueError(f"v = {v} exceeds the limit of {MAX_GROUND} vertices")
     return graph_from_edges(v, edges)
 
 

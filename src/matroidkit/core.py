@@ -130,13 +130,24 @@ class Matroid:
         """Rank of a subset: the size of its largest intersection with a basis."""
         return self._rank_of_mask(as_mask(subset, self.n))
 
+    def _meeting(self, s: int) -> list[int]:
+        """The bases B with |B & S| = r(S), in one pass. An element x outside S
+        raises the rank exactly when one of these bases contains x."""
+        best = -1
+        out: list[int] = []
+        for b in self._masks:
+            k = (b & s).bit_count()
+            if k > best:
+                best, out = k, [b]
+            elif k == best:
+                out.append(b)
+        return out
+
     def _closure_mask(self, s: int) -> int:
-        rs = self._rank_of_mask(s)
-        closed = s
-        for x in iter_bits(self._full() & ~s):
-            if self._rank_of_mask(s | (1 << x)) == rs:
-                closed |= 1 << x
-        return closed
+        union = 0
+        for b in self._meeting(s):
+            union |= b
+        return s | self._full() & ~union
 
     def closure(self, subset: SubsetLike) -> GroundSubset:
         """Elements whose addition does not raise the rank of the subset."""
@@ -185,10 +196,7 @@ class Matroid:
         return self._circuits
 
     def loops(self) -> GroundSubset:
-        union = 0
-        for b in self._masks:
-            union |= b
-        return GroundSubset(self._full() & ~union, self.n)
+        return GroundSubset(self._closure_mask(0), self.n)
 
     def coloops(self) -> GroundSubset:
         inter = self._full()

@@ -10,6 +10,8 @@ from .core import Matroid
 def greedy(matroid: Matroid, weights: Sequence) -> list[int]:
     """Grow a basis one element at a time, always taking the heaviest element
     whose addition keeps the set independent, ties broken by smallest index.
+    One pass in stable descending weight order does this, since an element
+    skipped as spanned stays spanned as the chosen set grows.
 
     Returns the chosen indices in selection order. Weights may be ints,
     Fractions, or floats (they only need to compare); negative weights are
@@ -19,17 +21,10 @@ def greedy(matroid: Matroid, weights: Sequence) -> list[int]:
         raise ValueError(f"expected {matroid.n} weights, got {len(weights)}")
     chosen = 0
     order: list[int] = []
-    while len(order) < matroid.rank:
-        best = -1
-        size = len(order)
-        for e in range(matroid.n):
-            bit = 1 << e
-            if chosen & bit:
-                continue
-            if best >= 0 and not weights[e] > weights[best]:
-                continue
-            if matroid._rank_of_mask(chosen | bit) == size + 1:
-                best = e
-        order.append(best)
-        chosen |= 1 << best
+    for e in sorted(range(matroid.n), key=weights.__getitem__, reverse=True):
+        if len(order) == matroid.rank:
+            break
+        if matroid._rank_of_mask(chosen | 1 << e) > len(order):
+            order.append(e)
+            chosen |= 1 << e
     return order

@@ -36,12 +36,10 @@ def _reindex(matroid: Matroid, keep: int, masks: Iterable[int]) -> Matroid:
 def _minor(matroid: Matroid, x: int, y: int) -> Matroid:
     """(M / X) \\ Y for disjoint masks X and Y. With keep = E - X - Y, the bases
     are the largest of the sets B & keep over the bases B with |B & X| = r(X),
-    re-indexed densely over keep, labels carried over. r(X) takes a sweep only
-    when X is nonempty, and when Y is empty the sets all have size
-    r(M) - r(X), so the size filter is skipped."""
+    re-indexed densely over keep, labels carried over. When Y is empty the
+    sets all have size r(M) - r(X), so the size filter is skipped."""
     keep = matroid._full() & ~(x | y)
-    r = matroid._rank_of_mask(x) if x else 0
-    masks = [b & keep for b in matroid.basis_masks if (b & x).bit_count() == r]
+    masks = [b & keep for b in matroid._meeting(x)]
     if y:
         top = max(b.bit_count() for b in masks)
         masks = [b for b in masks if b.bit_count() == top]

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterable, Union
 
 from .core import Matroid
-from .graphs import Graph, component_count
+from .graphs import Graph
 
 
 class UnivarPoly:
@@ -255,9 +255,8 @@ def chromatic_polynomial(graph: Graph) -> UnivarPoly:
     (-1)^r * k^c * T(1 - k, 0) with c components and graph rank r = v - c."""
     from .construct import graphic_matroid
 
-    t = tutte_polynomial(graphic_matroid(graph))
-    comps = component_count(graph)
-    grank = graph.v - comps
-    body = t.substitute(UnivarPoly((1, -1)), 0)
+    m = graphic_matroid(graph)
+    comps = graph.v - m.rank
+    body = tutte_polynomial(m).substitute(UnivarPoly((1, -1)), 0)
     shifted = body * UnivarPoly((0,) * comps + (1,))
-    return shifted.scale(-1 if grank % 2 else 1)
+    return shifted.scale(-1 if m.rank % 2 else 1)

@@ -47,6 +47,21 @@ def brute_rank(m: Matroid, mask: int) -> int:
     return best
 
 
+def brute_is_valid(m: Matroid) -> bool:
+    """Matroid test through the rank function r(S) = max |B & S| over the
+    powerset. That r is monotone and grows by at most one per element, so it
+    is a matroid rank function exactly when it is locally submodular: no S,
+    e, f with r(S) = r(S + e) = r(S + f) < r(S + e + f). Its bases are then
+    exactly the given ones."""
+    r = [max((b & s).bit_count() for b in m.basis_masks) for s in range(1 << m.n)]
+    for s in range(1 << m.n):
+        for e, f in combinations([x for x in range(m.n) if not s >> x & 1], 2):
+            se, sf = s | 1 << e, s | 1 << f
+            if r[s] == r[se] == r[sf] < r[se | sf]:
+                return False
+    return True
+
+
 def brute_circuits(m: Matroid) -> set[int]:
     """Minimal dependent subsets by scanning the whole powerset."""
     dependent = [
@@ -231,6 +246,24 @@ def brute_minor_witness(host: Matroid, pattern: Matroid) -> tuple[int, int] | No
 
 
 # -- optimization ------------------------------------------------------------------
+
+
+def round_greedy(m: Matroid, weights) -> list[int]:
+    """The greedy rule one round at a time: each round rescans every element
+    and takes the heaviest one, smallest index on ties, that keeps the chosen
+    set independent."""
+    chosen = 0
+    order: list[int] = []
+    while len(order) < m.rank:
+        best = -1
+        for e in range(m.n):
+            if chosen >> e & 1 or best >= 0 and not weights[e] > weights[best]:
+                continue
+            if is_independent(m, chosen | 1 << e):
+                best = e
+        order.append(best)
+        chosen |= 1 << best
+    return order
 
 
 def brute_max_basis_weight(m: Matroid, weights) -> object:

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -7,8 +8,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matroidkit.cli import dump_matroid, load_graph, load_matroid, run
+from matroidkit.cli import MAX_GROUND, dump_matroid, load_graph, load_matroid, run
 
 
 @pytest.fixture()
@@ -259,6 +262,34 @@ def test_graphic_command_refuses_dense_graphs(capsys, tmp_path):
     assert code == 0 and len(json.loads(out)["bases"]) == 125**2
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (cmd, json.dumps({"format": "matroid-v1", "n": 10**9, "bases": [[0]]}))
+        for cmd in ("info", "circuits", "hyperplanes", "flats", "dual")
+    ]
+    + [
+        ("graphic", json.dumps({"format": "graph-v1", "v": 10**9, "edges": [[0, 1]]})),
+        ("chromatic", "1000000000 1\n0 1\n"),
+    ],
+)
+def test_huge_ground_sets_are_refused_up_front(capsys, tmp_path, command, text):
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, command, str(path))
+    assert code == 1 and out == "" and err.startswith("error:") and str(MAX_GROUND) in err
+    assert time.perf_counter() - start < 5
+
+
+def test_ground_set_limit_is_inclusive(tmp_path):
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"format": "matroid-v1", "n": MAX_GROUND, "bases": [[0]]}))
+    assert load_matroid(str(path)).n == MAX_GROUND
+    path.write_text(json.dumps({"format": "graph-v1", "v": MAX_GROUND, "edges": [[0, 1]]}))
+    assert load_graph(str(path)).v == MAX_GROUND
+
+
 def test_uniform_and_named(capsys):
     code, out, _ = invoke(capsys, "uniform", "--rank", "2", "--n", "4")
     assert len(json.loads(out)["bases"]) == 6
@@ -368,3 +399,92 @@ def test_pretty_smoke(capsys, m_file):
     assert "{a, b}" in out
     code, out, _ = invoke(capsys, "dual", "--pretty", m_file)
     assert "rank=2" in out
+
+
+# -- fuzzing the loaders ------------------------------------------------------------
+
+# Junk-heavy documents (wrong types, ragged bases, negative and huge sizes) run
+# next to well-formed matroids and graphs, so both exit paths are exercised.
+SCALARS = st.one_of(
+    st.integers(-3, 9),
+    st.sampled_from([MAX_GROUND + 1, 10**9, -(10**9), 2**70]),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=3),
+    st.none(),
+)
+INDICES = st.one_of(st.lists(st.one_of(st.integers(-1, 8), SCALARS), max_size=4), SCALARS)
+MATROID_DOCS = st.fixed_dictionaries(
+    {
+        "format": st.just("matroid-v1"),
+        "n": st.one_of(st.integers(0, 8), SCALARS),
+        "bases": st.one_of(st.lists(INDICES, max_size=5), SCALARS),
+    },
+    optional={"labels": st.one_of(st.lists(st.text(max_size=2), max_size=8), SCALARS)},
+)
+MATROIDS = st.integers(0, 6).flatmap(
+    lambda n: st.integers(0, n).flatmap(
+        lambda r: st.fixed_dictionaries(
+            {
+                "format": st.just("matroid-v1"),
+                "n": st.just(n),
+                "bases": st.lists(
+                    st.permutations(range(n)).map(lambda p: p[:r]), min_size=1, max_size=5
+                ),
+            }
+        )
+    )
+)
+GRAPHS = st.integers(2, 6).flatmap(
+    lambda v: st.fixed_dictionaries(
+        {
+            "format": st.just("graph-v1"),
+            "v": st.just(v),
+            "edges": st.lists(st.permutations(range(v)).map(lambda p: p[:2]), max_size=7),
+        }
+    )
+)
+GRAPH_DOCS = st.fixed_dictionaries(
+    {
+        "format": st.just("graph-v1"),
+        "v": st.one_of(st.integers(0, 6), SCALARS),
+        "edges": st.one_of(st.lists(INDICES, max_size=6), SCALARS),
+    }
+)
+GRAPH_TEXTS = st.lists(
+    st.lists(st.one_of(st.integers(-1, 6), SCALARS).map(str), max_size=3), max_size=6
+).map(lambda rows: "\n".join(" ".join(row) for row in rows))
+
+
+def run_on_stdin(argv: list[str], text: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(
+    command=st.sampled_from(["info", "bases", "graphic"]),
+    doc=st.one_of(MATROIDS, MATROID_DOCS, GRAPHS, GRAPH_DOCS, GRAPH_TEXTS, st.text(max_size=12)),
+)
+@settings(max_examples=120, deadline=None)
+def test_fuzzed_documents_exit_cleanly(command, doc):
+    """Every document ends in exit 0, 1 or 2 without an exception escaping
+    `run`; exit 1 prints only an `error:` line, and an accepted matroid
+    document comes back with the same bases from `bases`."""
+    text = doc if isinstance(doc, str) else json.dumps(doc)
+    code, out, err = run_on_stdin([command, "-"], text)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    if code == 0 and command == "bases":
+        bases = json.loads(out)["bases"]
+        assert {frozenset(b) for b in doc["bases"]} == {frozenset(b) for b in bases}
+        again = json.dumps({"format": "matroid-v1", "n": doc["n"], "bases": bases})
+        assert run_on_stdin(["bases", "-"], again) == (0, out, "")
+    if code == 0 and command == "graphic":
+        assert run_on_stdin(["bases", "-"], out)[0] == 0

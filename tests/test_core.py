@@ -1,11 +1,31 @@
+from itertools import combinations
+from random import Random
+
 import pytest
 
 from matroidkit import GroundSubset, Matroid, dual, uniform_matroid
-from oracles import brute_circuits, brute_closure, brute_flats_by_rank
+from oracles import (
+    brute_circuits,
+    brute_closure,
+    brute_flats_by_rank,
+    brute_is_valid,
+    is_independent,
+    random_matroid,
+)
 
 
 def indices(subsets):
     return {s.indices() for s in subsets}
+
+
+def seeded_matroids(seed: int, count: int = 40) -> list[Matroid]:
+    """Seeded `random_matroid`s on at most 7 elements, some with loops and
+    some with coloops."""
+    rng = Random(seed)
+    ms = [random_matroid(rng, max_n=7) for _ in range(count)]
+    assert any(not is_independent(m, 1 << e) for m in ms for e in range(m.n))
+    assert any(all(b >> e & 1 for b in m.basis_masks) for m in ms for e in range(m.n))
+    return ms
 
 
 # -- construction ------------------------------------------------------------------
@@ -53,6 +73,35 @@ def test_is_valid(running_example):
     assert uniform_matroid(2, 4).is_valid()
 
 
+def random_family(rng: Random) -> Matroid:
+    """A seeded equicardinal basis family on at most 7 elements: a random
+    matroid, the same with one r-subset toggled in or out, or random r-subsets
+    with 2 <= r <= n - 2 (every family of another rank is a matroid)."""
+    def subsets(n: int, r: int) -> list[int]:
+        return [sum(1 << e for e in c) for c in combinations(range(n), r)]
+
+    m = random_matroid(rng, max_n=7)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return m
+    if kind == 1:
+        family = set(m.basis_masks) ^ {rng.choice(subsets(m.n, m.rank))}
+        return Matroid._from_masks(m.n, family or m.basis_masks)
+    n = rng.randint(4, 7)
+    pool = subsets(n, rng.randint(2, n - 2))
+    return Matroid._from_masks(n, rng.sample(pool, rng.randint(1, len(pool))))
+
+
+def test_is_valid_matches_brute_force():
+    rng = Random(41)
+    verdicts = []
+    for _ in range(300):
+        m = random_family(rng)
+        verdicts.append(m.is_valid())
+        assert verdicts[-1] == brute_is_valid(m), m.basis_masks
+    assert verdicts.count(False) >= 50 and verdicts.count(True) >= 50
+
+
 # -- equality ----------------------------------------------------------------------
 
 
@@ -85,7 +134,8 @@ def test_closure(running_example):
 
 
 def test_closure_matches_brute_force(running_example, u24):
-    for m in (running_example, u24):
+    for m in [running_example, u24] + seeded_matroids(43):
+        assert m.loops().bits == brute_closure(m, 0)
         for mask in range(1 << m.n):
             assert m.closure(GroundSubset(mask, m.n)).bits == brute_closure(m, mask)
 
@@ -151,7 +201,7 @@ def test_flats_uniform(u24):
 
 
 def test_flats_match_brute_force(running_example, u24):
-    for m in (running_example, u24):
+    for m in [running_example, u24] + seeded_matroids(47):
         expected = brute_flats_by_rank(m)
         got = m.flats()
         assert [{f.bits for f in level} for level in got] == expected

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from matroidkit import greedy, uniform_matroid
-from oracles import brute_max_basis_weight, random_matroid
+from oracles import brute_max_basis_weight, random_matroid, round_greedy
 
 
 def test_greedy_fano_mixed_weights(fano):
@@ -60,3 +60,19 @@ def test_greedy_affine_invariance():
 
 def test_greedy_rank_zero():
     assert greedy(uniform_matroid(0, 3), [1, 2, 3]) == []
+
+
+def test_greedy_matches_round_greedy():
+    """The one-pass greedy picks the same elements in the same order as the
+    round-by-round rule, with weights drawn from a few values so ties abound."""
+    rng = Random(29)
+    kinds = [
+        lambda: rng.randint(-2, 2),
+        lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+        lambda: rng.choice([-1.5, 0.0, 0.25, 2.0]),
+    ]
+    for i in range(240):
+        m = random_matroid(rng, max_n=8)
+        draw = kinds[i % 3]
+        weights = [draw() for _ in range(m.n)]
+        assert greedy(m, weights) == round_greedy(m, weights)
