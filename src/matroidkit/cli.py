@@ -41,7 +41,7 @@ from .transform import contraction, deletion, minor
 from .transform import dual as dual_of
 from .tutte import chromatic_polynomial, tutte_evaluate, tutte_polynomial
 
-# The most candidate r-subsets `uniform`, `linear` and `graphic` will enumerate.
+# The most candidate bases (`uniform`, `linear`, `graphic`) or flats (`info`, `flats`, `chow`).
 MAX_ENUMERATED = 10**6
 # The largest matroid ground set and graph vertex count the loaders accept.
 MAX_GROUND = 4096
@@ -210,8 +210,15 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _refuse_many_flats(m: Matroid) -> None:
+    """Refuse 2^r > MAX_ENUMERATED: the closures of the subsets of one basis are distinct flats."""
+    if 1 << m.rank > MAX_ENUMERATED:
+        raise ValueError(f"rank {m.rank} gives at least 2^{m.rank} flats, over {MAX_ENUMERATED}")
+
+
 def cmd_info(args) -> int:
     m = load_matroid(args.file)
+    _refuse_many_flats(m)
     info = {
         "n": m.n,
         "rank": m.rank,
@@ -228,32 +235,23 @@ def cmd_info(args) -> int:
     return 0
 
 
-def cmd_bases(args) -> int:
+def cmd_subsets(args) -> int:
+    """`bases`, `circuits` and `hyperplanes`: the subset list the command names."""
     m = load_matroid(args.file)
-    _emit_subset_list("bases", m.bases, m, args.pretty)
-    return 0
-
-
-def cmd_circuits(args) -> int:
-    m = load_matroid(args.file)
-    _emit_subset_list("circuits", m.circuits(), m, args.pretty)
+    query = {"bases": lambda: m.bases, "circuits": m.circuits, "hyperplanes": m.hyperplanes}
+    _emit_subset_list(args.command, query[args.command](), m, args.pretty)
     return 0
 
 
 def cmd_flats(args) -> int:
     m = load_matroid(args.file)
+    _refuse_many_flats(m)
     levels = m.flats()
     if args.pretty:
         for k, level in enumerate(levels):
             print(f"rank {k}: " + ", ".join(_fmt_subset(f.indices(), m.labels) for f in level))
     else:
         _emit({"flats": [[list(f.indices()) for f in level] for level in levels]})
-    return 0
-
-
-def cmd_hyperplanes(args) -> int:
-    m = load_matroid(args.file)
-    _emit_subset_list("hyperplanes", m.hyperplanes(), m, args.pretty)
     return 0
 
 
@@ -386,6 +384,8 @@ def cmd_polytope(args) -> int:
 
 def cmd_chow(args) -> int:
     m = load_matroid(args.file)
+    if args.degree is None or 0 < args.degree < m.rank - 1:
+        _refuse_many_flats(m)
     if args.degree is not None:
         print(chow_hilbert(m, args.degree))
         return 0
@@ -477,10 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func, help_text in [
         ("validate", cmd_validate, "check the basis-exchange axiom"),
         ("info", cmd_info, "summary: n, rank, bases, loops, coloops, f-vector"),
-        ("bases", cmd_bases, "list the bases"),
-        ("circuits", cmd_circuits, "list the circuits"),
+        ("bases", cmd_subsets, "list the bases"),
+        ("circuits", cmd_subsets, "list the circuits"),
         ("flats", cmd_flats, "list the flats by rank"),
-        ("hyperplanes", cmd_hyperplanes, "list the hyperplanes"),
+        ("hyperplanes", cmd_subsets, "list the hyperplanes"),
         ("dual", cmd_dual, "dual matroid"),
         ("tutte", cmd_tutte, "Tutte polynomial"),
         ("polytope", cmd_polytope, "basis polytope vertices and dimension"),

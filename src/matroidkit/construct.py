@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 from .core import Matroid, SubsetLike, as_mask
 from .graphs import Graph
 from .linalg import ExactMatrix, echelon_insert
-from .subsets import GroundSubset, mask_from_indices
+from .subsets import GroundSubset, iter_bits, mask_from_indices
 from .transform import restriction
 
 FANO_NONBASES = (
@@ -184,18 +184,21 @@ def direct_sum(left: Matroid, right: Matroid) -> Matroid:
 
 
 def components(matroid: Matroid) -> list[Matroid]:
-    """Connected components: classes of the circuit co-occurrence relation.
+    """Connected components, read off one basis b: each e outside b is joined
+    with its fundamental circuit C(e, b). The fundamental graph of any single
+    basis has the components of the matroid (Krogdahl, Discrete Math. 1977).
 
     Loops and coloops end up as singleton components. Parts are returned as
     restrictions, ordered by their minimum element, so a matroid assembled as
     a direct sum of connected pieces is reproduced by summing the results.
     """
     n = matroid.n
+    b = matroid.basis_masks[0]
+    base_set = set(matroid.basis_masks)
     comp = "".join(map(chr, range(n)))  # one component label per element
-    for circ in matroid.circuits():
-        first, *rest = circ.indices()
-        for e in rest:
-            comp = comp.replace(comp[e], comp[first])
+    for e in iter_bits(((1 << n) - 1) ^ b):
+        for f in iter_bits(matroid._exchange(base_set, b, e) ^ 1 << e):
+            comp = comp.replace(comp[f], comp[e])
     parts: dict[str, int] = {}
     for e, label in enumerate(comp):
         parts[label] = parts.get(label, 0) | 1 << e

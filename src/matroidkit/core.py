@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence, Union
 
-from .subsets import GroundSubset, canon_key, iter_bits, mask_from_indices, minimal_masks
+from .subsets import GroundSubset, canon_key, iter_bits, mask_from_indices
 
 SubsetLike = Union[GroundSubset, Iterable[int]]
 
@@ -170,29 +170,32 @@ class Matroid:
 
     # -- circuits, loops, coloops --------------------------------------------
 
-    def circuits(self) -> tuple[GroundSubset, ...]:
-        """All circuits, via fundamental circuits of (basis, outside element) pairs.
+    def _exchange(self, base_set: set[int], b: int, e: int) -> int:
+        """e plus each f across the basis b with b ^ e ^ f in base_set: the
+        fundamental circuit C(e, b) when e is outside b, the fundamental
+        cocircuit C*(e, b) when e is in b (Oxley, §1.2 and §2.1)."""
+        ebit = 1 << e
+        swap, out = b ^ ebit, ebit
+        rest = self._full() ^ b if b & ebit else b
+        while rest:  # low bits, with no generator: this loop is most of the work
+            low = rest & -rest
+            if swap ^ low in base_set:
+                out |= low
+            rest ^= low
+        return out
 
-        Every circuit C is the fundamental circuit of any e in C with respect
-        to any basis extending C - {e}, so the sweep below hits them all;
-        one-element circuits (loops) come out of the same formula.
-        """
+    def circuits(self) -> tuple[GroundSubset, ...]:
+        """All circuits of a valid basis family, in (size, elements) order: the
+        fundamental circuits C(e, b) over every basis b and e outside b. Each is
+        a circuit, and a circuit C is C(e, b) for any e in C and any basis b
+        containing C - {e}; loops come out as one-element circuits."""
         if self._circuits is None:
             base_set = set(self._masks)
-            found = set()
             full = self._full()
-            for b in self._masks:
-                for e in iter_bits(full & ~b):
-                    ebit = 1 << e
-                    circ = ebit
-                    for f in iter_bits(b):
-                        if (b ^ (1 << f)) | ebit in base_set:
-                            circ |= 1 << f
-                    found.add(circ)
-            mins = minimal_masks(found)
-            self._circuits = tuple(
-                GroundSubset(m, self.n) for m in sorted(mins, key=canon_key)
-            )
+            found = {
+                self._exchange(base_set, b, e) for b in self._masks for e in iter_bits(full ^ b)
+            }
+            self._circuits = tuple(GroundSubset(m, self.n) for m in sorted(found, key=canon_key))
         return self._circuits
 
     def loops(self) -> GroundSubset:
@@ -233,11 +236,13 @@ class Matroid:
         return [len(level) for level in self.flats()]
 
     def hyperplanes(self) -> tuple[GroundSubset, ...]:
-        """Complements of the circuits of the dual matroid."""
+        """The flats of rank r - 1, in (size, elements) order: the complements
+        E - C*(e, b) = cl(b - {e}) of the fundamental cocircuits over every
+        basis b and every e in b."""
+        base_set = set(self._masks)
         full = self._full()
-        dual = Matroid._from_masks(self.n, [full ^ b for b in self._masks])
-        comps = sorted((full ^ c.bits for c in dual.circuits()), key=canon_key)
-        return tuple(GroundSubset(m, self.n) for m in comps)
+        found = {full ^ self._exchange(base_set, b, e) for b in self._masks for e in iter_bits(b)}
+        return tuple(GroundSubset(m, self.n) for m in sorted(found, key=canon_key))
 
     # -- labels ----------------------------------------------------------------
 

@@ -29,15 +29,6 @@ def canon_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (mask.bit_count(), tuple(iter_bits(mask)))
 
 
-def minimal_masks(masks: Iterable[int]) -> list[int]:
-    """Inclusion-minimal members of a family of bitmasks, deduplicated."""
-    kept: list[int] = []
-    for m in sorted(set(masks), key=lambda x: x.bit_count()):
-        if not any(k & ~m == 0 for k in kept):
-            kept.append(m)
-    return kept
-
-
 @dataclass(frozen=True, slots=True)
 class GroundSubset:
     """Immutable subset of {0, ..., n-1} stored as a bitmask."""

@@ -77,6 +77,25 @@ def brute_circuits(m: Matroid) -> set[int]:
     return out
 
 
+def brute_components(m: Matroid) -> list[int]:
+    """Connected components as masks, in order of their minimum element: the
+    classes of the relation "equal, or together in a powerset circuit", closed
+    transitively. Loops and coloops stay singletons."""
+    circuits = brute_circuits(m)
+    parts: list[int] = []
+    for e in range(m.n):
+        if any(p >> e & 1 for p in parts):
+            continue
+        part, grown = 1 << e, True
+        while grown:
+            grown = False
+            for c in circuits:
+                if c & part and c & ~part:
+                    part, grown = part | c, True
+        parts.append(part)
+    return parts
+
+
 def brute_closure(m: Matroid, mask: int) -> int:
     r = brute_rank(m, mask)
     closed = mask

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matroidkit import cli
 from matroidkit.cli import MAX_GROUND, dump_matroid, load_graph, load_matroid, run
 
 
@@ -280,6 +281,46 @@ def test_huge_ground_sets_are_refused_up_front(capsys, tmp_path, command, text):
     code, out, err = invoke(capsys, command, str(path))
     assert code == 1 and out == "" and err.startswith("error:") and str(MAX_GROUND) in err
     assert time.perf_counter() - start < 5
+
+
+@pytest.fixture()
+def free30_file(tmp_path):
+    """A 100-byte document whose one basis is the whole ground set: rank 30,
+    so at least 2^30 flats."""
+    path = tmp_path / "free30.json"
+    path.write_text(json.dumps({"format": "matroid-v1", "n": 30, "bases": [list(range(30))]}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["info"], ["flats"], ["chow"], ["chow", "--degree", "1"], ["chow", "--degree", "28"]],
+)
+def test_flat_listings_of_high_rank_are_refused_up_front(capsys, free30_file, argv):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv, free30_file)
+    assert code == 1 and out == "" and err.startswith("error:") and "2^30" in err
+    assert "Traceback" not in err
+    assert time.perf_counter() - start < 5
+
+
+def test_high_rank_queries_without_flats_still_answer(capsys, free30_file):
+    for degree in ("0", "29"):
+        assert invoke(capsys, "chow", "--degree", degree, free30_file) == (0, "1\n", "")
+    code, out, _ = invoke(capsys, "circuits", free30_file)
+    assert code == 0 and json.loads(out) == {"circuits": []}
+    code, out, _ = invoke(capsys, "hyperplanes", free30_file)
+    want = [[x for x in range(30) if x != e] for e in range(29, -1, -1)]
+    assert code == 0 and json.loads(out) == {"hyperplanes": want}
+
+
+def test_flat_limit_is_inclusive(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_ENUMERATED", 16)
+    path = tmp_path / "free.json"
+    for r, code in ((4, 0), (5, 1)):
+        path.write_text(json.dumps({"format": "matroid-v1", "n": r, "bases": [list(range(r))]}))
+        for argv in (["info"], ["flats"], ["chow"], ["chow", "--degree", "1"]):
+            assert invoke(capsys, *argv, str(path))[0] == code
 
 
 def test_ground_set_limit_is_inclusive(tmp_path):

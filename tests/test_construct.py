@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -6,6 +7,7 @@ import pytest
 
 from matroidkit import (
     ExactMatrix,
+    GroundSubset,
     Matroid,
     complete_graph,
     components,
@@ -21,7 +23,15 @@ from matroidkit import (
     uniform_matroid,
 )
 from matroidkit.construct import FANO_NONBASES
-from oracles import brute_graphic_bases, brute_linear_bases, brute_matrix_rank
+from matroidkit.transform import restriction
+from oracles import (
+    brute_components,
+    brute_graphic_bases,
+    brute_linear_bases,
+    brute_matrix_rank,
+    is_independent,
+    random_matroid,
+)
 
 
 def indices(subsets):
@@ -279,3 +289,34 @@ def test_components_fold_random_sums():
         parts = components(total)
         assert len(parts) == len(pieces)
         assert reduce(direct_sum, parts) == total
+
+
+def test_components_match_brute_force():
+    # seeded sums of two or three random pieces, with loops and coloops
+    rng = Random(61)
+    sums = []
+    for _ in range(60):
+        total = random_matroid(rng, max_n=4)
+        for _ in range(rng.randint(1, 2)):
+            total = direct_sum(total, random_matroid(rng, max_n=3))
+        # index labels, so that each part names the elements it holds
+        sums.append(Matroid._from_masks(total.n, total.basis_masks, map(str, range(total.n))))
+    assert any(not is_independent(m, 1 << e) for m in sums for e in range(m.n))
+    assert any(all(b >> e & 1 for b in m.basis_masks) for m in sums for e in range(m.n))
+    assert any(len(brute_components(m)) > 2 for m in sums)
+    for m in sums:
+        parts = components(m)
+        want = brute_components(m)
+        assert [sum(1 << int(x) for x in p.labels) for p in parts] == want
+        assert parts == [restriction(m, GroundSubset(w, m.n)) for w in want]
+
+
+def test_wide_ground_set_components():
+    # one triangle and 4,093 loops
+    m = Matroid(4096, [[0, 1], [0, 2], [1, 2]], labels=[str(e) for e in range(4096)])
+    start = time.perf_counter()
+    parts = components(m)
+    assert time.perf_counter() - start < 2
+    assert len(parts) == 4094
+    assert [p.labels for p in parts] == [("0", "1", "2")] + [(str(e),) for e in range(3, 4096)]
+    assert [p.rank for p in parts] == [2] + [0] * 4093

@@ -1,9 +1,11 @@
+import time
 from itertools import combinations
 from random import Random
 
 import pytest
 
 from matroidkit import GroundSubset, Matroid, dual, uniform_matroid
+from matroidkit.subsets import canon_key
 from oracles import (
     brute_circuits,
     brute_closure,
@@ -167,8 +169,19 @@ def test_circuits(running_example, u24):
 
 
 def test_circuits_match_brute_force(running_example, u24):
-    for m in (running_example, u24, uniform_matroid(0, 3)):
-        assert {c.bits for c in m.circuits()} == brute_circuits(m)
+    for m in [running_example, u24, uniform_matroid(0, 3)] + seeded_matroids(53):
+        got = [c.bits for c in m.circuits()]
+        assert set(got) == brute_circuits(m)
+        assert got == sorted(got, key=canon_key) and len(set(got)) == len(got)
+
+
+def test_wide_ground_set_circuits():
+    # one triangle and 4,093 loops
+    m = Matroid(4096, [[0, 1], [0, 2], [1, 2]])
+    start = time.perf_counter()
+    circuits = [c.indices() for c in m.circuits()]
+    assert time.perf_counter() - start < 2
+    assert circuits == [(e,) for e in range(3, 4096)] + [(0, 1, 2)]
 
 
 # -- loops and coloops -------------------------------------------------------------
@@ -221,6 +234,13 @@ def test_hyperplanes(running_example, u24):
     # rank-1 flats of U(2,4) are its hyperplanes
     assert indices(u24.hyperplanes()) == {(0,), (1,), (2,), (3,)}
     assert indices(uniform_matroid(1, 1).hyperplanes()) == {()}
+
+
+def test_hyperplanes_match_brute_force(running_example, u24):
+    for m in [running_example, u24, uniform_matroid(0, 3)] + seeded_matroids(59):
+        got = [h.bits for h in m.hyperplanes()]
+        assert set(got) == (brute_flats_by_rank(m)[m.rank - 1] if m.rank else set())
+        assert got == sorted(got, key=canon_key) and len(set(got)) == len(got)
 
 
 # -- labels ------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from matroidkit import GroundSubset
-from matroidkit.subsets import canon_key, iter_bits, mask_from_indices, minimal_masks
+from matroidkit.subsets import canon_key, iter_bits, mask_from_indices
 
 
 def test_construction_and_indices():
@@ -44,10 +44,6 @@ def test_empty_and_full():
     assert len(GroundSubset.empty(5)) == 0
     assert GroundSubset.full(5).indices() == (0, 1, 2, 3, 4)
     assert GroundSubset.empty(0).bits == 0
-
-
-def test_minimal_masks():
-    assert set(minimal_masks([0b111, 0b011, 0b100, 0b011])) == {0b011, 0b100}
 
 
 def test_canon_key_orders_by_size_then_elements():
