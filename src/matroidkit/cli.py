@@ -320,7 +320,9 @@ def cmd_tutte_eval(args) -> int:
 
 
 def cmd_chromatic(args) -> int:
-    poly = chromatic_polynomial(load_graph(args.file))
+    graph = load_graph(args.file)
+    _refuse_large_enumeration(len(graph.edges), graph.v - component_count(graph))
+    poly = chromatic_polynomial(graph)
     if args.pretty:
         print(poly.factored())
     else:

@@ -117,21 +117,22 @@ def closed_walks(graph: Graph, v: int, length: int) -> list[tuple[int, ...]]:
     walks: list[tuple[int, ...]] = []
     path = [v]
     on = {v}
-
-    def extend(u: int) -> None:
-        if len(path) == length:
-            if v in adj_sets[u]:
-                walks.append(tuple(path) + (v,))
-            return
-        for w in adj[u]:
+    # nbrs[k]: the untried neighbours of path[k]
+    nbrs = [iter(adj[v])]
+    while nbrs:
+        for w in nbrs[-1]:
             if w > v and w not in on:
-                on.add(w)
-                path.append(w)
-                extend(w)
-                path.pop()
-                on.remove(w)
-
-    extend(v)
+                if len(path) + 1 == length:
+                    if v in adj_sets[w]:
+                        walks.append(tuple(path) + (w, v))
+                else:
+                    on.add(w)
+                    path.append(w)
+                    nbrs.append(iter(adj[w]))
+                    break
+        else:
+            nbrs.pop()
+            on.discard(path.pop())
     return walks
 
 
@@ -166,9 +167,10 @@ def get_cycles(graph: Graph) -> list[Cycle]:
         path = [anchor]
         on = [False] * graph.v
         on[anchor] = True
-
-        def dfs(u: int) -> None:
-            for w in adj[u]:
+        # nbrs[k]: the untried neighbours of path[k]
+        nbrs = [iter(adj[anchor])]
+        while nbrs:
+            for w in nbrs[-1]:
                 if not alive[w] or w < anchor:
                     continue
                 if w == anchor:
@@ -177,11 +179,11 @@ def get_cycles(graph: Graph) -> list[Cycle]:
                 elif not on[w]:
                     on[w] = True
                     path.append(w)
-                    dfs(w)
-                    path.pop()
-                    on[w] = False
-
-        dfs(anchor)
+                    nbrs.append(iter(adj[w]))
+                    break
+            else:
+                nbrs.pop()
+                on[path.pop()] = False
 
     m = len(graph.edges)
     cycles = []

@@ -40,7 +40,8 @@ def isomorphism(source: Matroid, target: Matroid) -> IsoWitness | None:
     The search is pruned backtracking: candidates must match per-element basis
     degrees, and partial maps must preserve pairwise basis co-occurrence
     counts. A complete assignment is accepted only if it maps the basis set
-    onto the target's basis set exactly.
+    onto the target's basis set exactly. The search runs depth first on its
+    own stack and tries the candidates of each element in increasing order.
     """
     if (
         source.n != target.n
@@ -63,46 +64,53 @@ def isomorphism(source: Matroid, target: Matroid) -> IsoWitness | None:
                 deg[e] += 1
         return deg
 
-    def pair_counts(m: Matroid) -> list[list[int]]:
-        pc = [[0] * n for _ in range(n)]
+    def pair_counts(m: Matroid) -> list[dict[int, int]]:
+        # pc[a][c]: bases holding both a and c, kept only for pairs that share one
+        pc: list[dict[int, int]] = [{} for _ in range(n)]
         for b in m.basis_masks:
             elems = list(iter_bits(b))
             for i, a in enumerate(elems):
                 for c in elems[i + 1 :]:
-                    pc[a][c] += 1
-                    pc[c][a] += 1
+                    pc[a][c] = pc[a].get(c, 0) + 1
+                    pc[c][a] = pc[c].get(a, 0) + 1
         return pc
 
     deg_s, deg_t = degrees(source), degrees(target)
     if sorted(deg_s) != sorted(deg_t):
         return None
     pc_s, pc_t = pair_counts(source), pair_counts(target)
-    candidates = [[t for t in range(n) if deg_t[t] == deg_s[i]] for i in range(n)]
+    by_degree: dict[int, list[int]] = {}
+    for t in range(n):
+        by_degree.setdefault(deg_t[t], []).append(t)
     target_set = set(target.basis_masks)
-    assign = [-1] * n
-    used = [False] * n
+    assign: list[int] = []  # assign[i]: the image of source element i
+    origin = [-1] * n  # origin[t]: the source element mapped to t, or -1
 
-    def dfs(i: int) -> bool:
-        if i == n:
-            mapped = {apply_permutation(b, tuple(assign)) for b in source.basis_masks}
-            return mapped == target_set
-        row_s = pc_s[i]
-        for t in candidates[i]:
-            if used[t]:
-                continue
-            row_t = pc_t[t]
-            if any(row_s[j] != row_t[assign[j]] for j in range(i)):
-                continue
-            assign[i] = t
-            used[t] = True
-            if dfs(i + 1):
-                return True
-            used[t] = False
-            assign[i] = -1
-        return False
+    def fits(i: int, t: int) -> bool:
+        """Whether i -> t keeps every pair count with the elements already mapped."""
+        mapped_s = {j: c for j, c in pc_s[i].items() if j < i}
+        mapped_t = {origin[u]: c for u, c in pc_t[t].items() if origin[u] >= 0}
+        return mapped_s == mapped_t
 
-    if dfs(0):
-        return IsoWitness(tuple(assign))
+    # levels[i]: the untried candidates for source element i
+    levels = [iter(by_degree[deg_s[0]])]
+    while levels:
+        i = len(assign)
+        for t in levels[-1]:
+            if origin[t] >= 0 or not fits(i, t):
+                continue
+            if i + 1 < n:
+                assign.append(t)
+                origin[t] = i
+                levels.append(iter(by_degree[deg_s[i + 1]]))
+                break
+            perm = tuple(assign) + (t,)
+            if {apply_permutation(b, perm) for b in source.basis_masks} == target_set:
+                return IsoWitness(perm)
+        else:
+            levels.pop()
+            if assign:
+                origin[assign.pop()] = -1
     return None
 
 
@@ -126,8 +134,8 @@ def has_minor(host: Matroid, pattern: Matroid) -> MinorWitness | None:
     basis count, which also makes D coindependent, so alive is exactly the
     bases of (host / I) \\ D. Among the kept elements, col[e] & alive == 0
     marks a loop and col[e] & alive == alive a coloop; both counts must equal
-    the pattern's. Only survivors are built with `deletion`, then screened
-    by circuit-size multiset before the isomorphism search runs.
+    the pattern's. Only survivors are built with `deletion` and handed to
+    `isomorphism`, which screens by circuit-size multiset before it searches.
     """
     if pattern.rank > host.rank or pattern.n > host.n:
         return None
@@ -135,7 +143,6 @@ def has_minor(host: Matroid, pattern: Matroid) -> MinorWitness | None:
     dsize = host.n - csize - pattern.n
     if dsize < 0:
         return None
-    pat_circ = sorted(len(c) for c in pattern.circuits())
     pat_loops = len(pattern.loops())
     pat_coloops = len(pattern.coloops())
     pat_bases = len(pattern.basis_masks)
@@ -172,8 +179,6 @@ def has_minor(host: Matroid, pattern: Matroid) -> MinorWitness | None:
             if loops != pat_loops or coloops != pat_coloops:
                 continue
             candidate = deletion(inner, GroundSubset(dmask, inner_n))
-            if sorted(len(c) for c in candidate.circuits()) != pat_circ:
-                continue
             iso = isomorphism(candidate, pattern)
             if iso is not None:
                 remaining = [e for e in range(host.n) if e not in contract_set]

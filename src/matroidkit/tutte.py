@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Iterable
 
 from .core import Matroid
 from .graphs import Graph
@@ -18,10 +18,6 @@ class UnivarPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def constant(cls, c: int) -> "UnivarPoly":
-        return cls((c,))
 
     @property
     def degree(self) -> int:
@@ -50,17 +46,6 @@ class UnivarPoly:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return UnivarPoly(out)
-
-    def scale(self, c: int) -> "UnivarPoly":
-        return UnivarPoly(c * a for a in self.coeffs)
-
-    def __pow__(self, exp: int) -> "UnivarPoly":
-        if exp < 0:
-            raise ValueError("negative exponent")
-        out = UnivarPoly.constant(1)
-        for _ in range(exp):
-            out = out * self
-        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UnivarPoly):
@@ -131,9 +116,6 @@ class UnivarPoly:
         return "".join(pieces) if pieces else "1"
 
 
-PolyOrInt = Union[UnivarPoly, int]
-
-
 class BivarPoly:
     """Bivariate integer polynomial stored as {(i, j): coefficient}, zeros absent."""
 
@@ -186,15 +168,6 @@ class BivarPoly:
     def evaluate(self, x: int, y: int) -> int:
         return sum(c * x**i * y**j for (i, j), c in self._terms.items())
 
-    def substitute(self, x: PolyOrInt, y: PolyOrInt) -> UnivarPoly:
-        """Substitute univariate polynomials (or constants) for both variables."""
-        xp = x if isinstance(x, UnivarPoly) else UnivarPoly.constant(x)
-        yp = y if isinstance(y, UnivarPoly) else UnivarPoly.constant(y)
-        acc = UnivarPoly()
-        for (i, j), c in sorted(self._terms.items()):
-            acc = acc + (xp**i * yp**j).scale(c)
-        return acc
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
@@ -221,29 +194,31 @@ class BivarPoly:
 
 
 def tutte_polynomial(matroid: Matroid) -> BivarPoly:
-    """Deletion-contraction on the smallest non-loop, non-coloop element; a
-    state that is all coloops and loops contributes x^(#coloops) * y^(#loops).
+    """Deletion-contraction on the smallest non-loop, non-coloop element, run
+    depth first on an explicit stack of (ground, bases) states. A state that
+    is all coloops and loops is a leaf and counts once towards the
+    coefficient of x^(#coloops) * y^(#loops).
 
     There is no memo: every state is reached by exactly one sequence of
     deletions and contractions, so no state would ever be looked up twice."""
-
-    def rec(ground: int, bases: list[int]) -> BivarPoly:
+    leaves: dict[tuple[int, int], int] = {}
+    stack = [((1 << matroid.n) - 1, list(matroid.basis_masks))]
+    while stack:
+        ground, bases = stack.pop()
         union = 0
         inter = ground
         for b in bases:
             union |= b
             inter &= b
-        loops = ground & ~union
-        coloops = inter
-        rest = ground & ~loops & ~coloops
+        rest = union & ~inter
         if rest == 0:
-            return BivarPoly.monomial(coloops.bit_count(), loops.bit_count())
+            key = (inter.bit_count(), (ground & ~union).bit_count())
+            leaves[key] = leaves.get(key, 0) + 1
+            continue
         bit = rest & -rest
-        deleted = [b for b in bases if not b & bit]
-        contracted = [b ^ bit for b in bases if b & bit]
-        return rec(ground ^ bit, deleted) + rec(ground ^ bit, contracted)
-
-    return rec((1 << matroid.n) - 1, list(matroid.basis_masks))
+        stack.append((ground ^ bit, [b ^ bit for b in bases if b & bit]))
+        stack.append((ground ^ bit, [b for b in bases if not b & bit]))
+    return BivarPoly(leaves)
 
 
 def tutte_evaluate(matroid: Matroid, x: int, y: int) -> int:
@@ -252,11 +227,15 @@ def tutte_evaluate(matroid: Matroid, x: int, y: int) -> int:
 
 def chromatic_polynomial(graph: Graph) -> UnivarPoly:
     """Proper-coloring count of a graph as a polynomial in the color count:
-    (-1)^r * k^c * T(1 - k, 0) with c components and graph rank r = v - c."""
+    (-1)^r * k^c * T(1 - k, 0) with c components and graph rank r = v - c.
+    T(1 - k, 0) is read off the y^0 coefficients by Horner's rule in 1 - k."""
     from .construct import graphic_matroid
 
     m = graphic_matroid(graph)
-    comps = graph.v - m.rank
-    body = tutte_polynomial(m).substitute(UnivarPoly((1, -1)), 0)
-    shifted = body * UnivarPoly((0,) * comps + (1,))
-    return shifted.scale(-1 if m.rank % 2 else 1)
+    t = tutte_polynomial(m)
+    body: list[int] = []  # lowest degree first
+    for i in range(m.rank, -1, -1):
+        body = [a - b for a, b in zip(body + [0], [0] + body)]  # times (1 - k)
+        body[0] += t.coeff(i, 0)
+    sign = -1 if m.rank % 2 else 1
+    return UnivarPoly([0] * (graph.v - m.rank) + [sign * c for c in body])

@@ -263,6 +263,69 @@ def test_graphic_command_refuses_dense_graphs(capsys, tmp_path):
     assert code == 0 and len(json.loads(out)["bases"]) == 125**2
 
 
+def test_chromatic_command_refuses_dense_graphs(capsys, tmp_path):
+    """`chromatic` builds the graphic matroid first, so it makes the same
+    up-front check as `graphic`."""
+    start = time.perf_counter()
+    k12 = [[u, w] for u in range(12) for w in range(u + 1, 12)]
+    path = tmp_path / "k12.json"
+    path.write_text(json.dumps({"format": "graph-v1", "v": 12, "edges": k12}))
+    code, out, err = invoke(capsys, "chromatic", str(path))
+    assert code == 1 and out == "" and err.startswith("error:") and "C(66, 11)" in err
+    assert time.perf_counter() - start < 5
+    k6 = [[u, w] for u in range(6) for w in range(u + 1, 6)]
+    path = tmp_path / "k6.json"
+    path.write_text(json.dumps({"format": "graph-v1", "v": 6, "edges": k6}))
+    code, out, _ = invoke(capsys, "chromatic", str(path))
+    assert code == 0 and json.loads(out) == {
+        "coefficients": [0, -120, 274, -225, 85, -15, 1],
+        "factored": "k(k - 1)(k - 2)(k - 3)(k - 4)(k - 5)",
+    }
+
+
+def test_searches_on_deep_documents(capsys, tmp_path):
+    """1,100-element documents are deeper than Python's recursion limit; the
+    searches keep their own stacks and answer."""
+    n = 1100
+    docs = {
+        "u1n": {"format": "matroid-v1", "n": n, "bases": [[e] for e in range(n)]},
+        "first": {"format": "matroid-v1", "n": n, "bases": [[0]]},
+        "last": {"format": "matroid-v1", "n": n, "bases": [[n - 1]]},
+        "cycle": {"format": "graph-v1", "v": n, "edges": [[i, (i + 1) % n] for i in range(n)]},
+    }
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    u1n, first, last, cycle = (str(tmp_path / f"{name}.json") for name in docs)
+    code, out, err = invoke(capsys, "tutte", u1n)
+    assert code == 0 and err == "" and len(json.loads(out)["terms"]) == n
+    code, out, err = invoke(capsys, "tutte-eval", "--x", "2", "--y", "2", u1n)
+    assert code == 0 and err == "" and int(out) == 2**n
+    code, out, err = invoke(capsys, "chromatic", cycle)
+    assert code == 0 and err == "" and json.loads(out)["coefficients"][-2:] == [-n, 1]
+    code, out, err = invoke(capsys, "cycles", cycle)
+    assert code == 0 and err == "" and json.loads(out)["count"] == 1
+    code, out, err = invoke(capsys, "isomorphic", first, last)
+    lines = out.splitlines()
+    assert code == 0 and err == "" and lines[0] == "true"
+    assert json.loads(lines[1])["isomorphism"][0] == n - 1
+
+
+def test_isomorphic_answers_sparse_documents_at_the_ground_limit(capsys, tmp_path):
+    """Two 100-byte documents on MAX_GROUND elements: the candidate lists and
+    pair counts stay as small as the basis lists."""
+    paths = []
+    for e in (0, 1):
+        paths.append(tmp_path / f"b{e}.json")
+        paths[-1].write_text(json.dumps({"format": "matroid-v1", "n": MAX_GROUND, "bases": [[e]]}))
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "isomorphic", *map(str, paths))
+    assert time.perf_counter() - start < 10
+    lines = out.splitlines()
+    assert code == 0 and err == "" and lines[0] == "true"
+    perm = json.loads(lines[1])["isomorphism"]
+    assert sorted(perm) == list(range(MAX_GROUND)) and perm[0] == 1
+
+
 @pytest.mark.parametrize(
     "command, text",
     [
@@ -509,7 +572,9 @@ def run_on_stdin(argv: list[str], text: str) -> tuple[int, str, str]:
 
 
 @given(
-    command=st.sampled_from(["info", "bases", "graphic"]),
+    command=st.sampled_from(
+        ["info", "bases", "graphic", "tutte", "circuits", "components", "validate"]
+    ),
     doc=st.one_of(MATROIDS, MATROID_DOCS, GRAPHS, GRAPH_DOCS, GRAPH_TEXTS, st.text(max_size=12)),
 )
 @settings(max_examples=120, deadline=None)
