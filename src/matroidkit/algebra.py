@@ -8,17 +8,15 @@ products of incomparable flat variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import Matroid
 from .linalg import rank_rows_exact
-from .subsets import GroundSubset, iter_bits
+from .subsets import Frozen, GroundSubset, iter_bits
 
 
-@dataclass(frozen=True, slots=True)
-class PolytopeVertices:
+class PolytopeVertices(Frozen):
     """Indicator vectors of the bases, with the exact affine dimension."""
 
+    __slots__ = ("ambient_dim", "vertices", "dim")
     ambient_dim: int
     vertices: tuple[tuple[int, ...], ...]
     dim: int
@@ -38,12 +36,12 @@ def polytope_vertices(matroid: Matroid) -> PolytopeVertices:
     return PolytopeVertices(n, verts, rank_rows_exact(diffs))
 
 
-@dataclass(frozen=True, slots=True)
-class ChowPresentation:
+class ChowPresentation(Frozen):
     """Variables (nonempty proper flats in (rank, lex) order), the n-1 anchored
     linear generators as sparse (variable, coefficient) vectors, and the
     incomparable-pair quadric generators as variable-index pairs."""
 
+    __slots__ = ("flats", "linear_gens", "quadric_gens")
     flats: tuple[GroundSubset, ...]
     linear_gens: tuple[tuple[tuple[int, int], ...], ...]
     quadric_gens: tuple[tuple[int, int], ...]

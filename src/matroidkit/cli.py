@@ -19,27 +19,11 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
-from pathlib import Path
 
-from .algebra import chow_hilbert, chow_presentation, polytope_vertices
-from .construct import (
-    components,
-    direct_sum,
-    graphic_matroid,
-    linear_matroid,
-    specific_matroid,
-    uniform_matroid,
-)
 from .core import Matroid
-from .graphs import Graph, component_count, get_cycles, graph_from_edges
-from .linalg import ExactMatrix
-from .optimize import greedy
-from .search import has_minor, isomorphism
-from .subsets import GroundSubset
-from .transform import contraction, deletion, minor
-from .transform import dual as dual_of
-from .tutte import chromatic_polynomial, tutte_evaluate, tutte_polynomial
+
+# Every other module is imported by the handler that uses it, so a process
+# loads only what its command runs.
 
 # The most candidate bases (`uniform`, `linear`, `graphic`) or flats (`info`, `flats`, `chow`).
 MAX_ENUMERATED = 10**6
@@ -52,7 +36,8 @@ MAX_GROUND = 4096
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    return Path(path).read_text()
+    with open(path) as fh:
+        return fh.read()
 
 
 def _is_int(x) -> bool:
@@ -98,6 +83,7 @@ def dump_matroid(matroid: Matroid) -> dict:
 
 
 def load_graph(path: str) -> Graph:
+    from .graphs import graph_from_edges
     text = _read_text(path)
     if text.lstrip().startswith("{"):
         obj = _parse_json(text, "graph-v1")
@@ -126,6 +112,10 @@ def load_graph(path: str) -> Graph:
 
 
 def load_matrix(path: str, field: int | None) -> ExactMatrix:
+    from fractions import Fraction
+
+    from .linalg import ExactMatrix
+
     obj = _parse_json(_read_text(path), "matrix-v1")
     rows = obj.get("rows")
     cols = obj.get("cols")
@@ -256,23 +246,21 @@ def cmd_flats(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    _emit_matroid(dual_of(load_matroid(args.file)), args.pretty)
+    from .transform import dual
+    _emit_matroid(dual(load_matroid(args.file)), args.pretty)
     return 0
 
 
-def cmd_delete(args) -> int:
-    m = load_matroid(args.file)
-    _emit_matroid(deletion(m, parse_indices(args.set)), args.pretty)
-    return 0
-
-
-def cmd_contract(args) -> int:
-    m = load_matroid(args.file)
-    _emit_matroid(contraction(m, parse_indices(args.set)), args.pretty)
+def cmd_delete_contract(args) -> int:
+    """`delete` and `contract`: the minor the command names, on one index set."""
+    from .transform import contraction, deletion
+    op = deletion if args.command == "delete" else contraction
+    _emit_matroid(op(load_matroid(args.file), parse_indices(args.set)), args.pretty)
     return 0
 
 
 def cmd_minor(args) -> int:
+    from .transform import minor
     m = load_matroid(args.file)
     result = minor(m, parse_indices(args.contract), parse_indices(args.delete))
     _emit_matroid(result, args.pretty)
@@ -280,6 +268,7 @@ def cmd_minor(args) -> int:
 
 
 def cmd_isomorphic(args) -> int:
+    from .search import isomorphism
     witness = isomorphism(load_matroid(args.a), load_matroid(args.b))
     print("true" if witness is not None else "false")
     if witness is not None:
@@ -288,6 +277,7 @@ def cmd_isomorphic(args) -> int:
 
 
 def cmd_has_minor(args) -> int:
+    from .search import has_minor
     witness = has_minor(load_matroid(args.a), load_matroid(args.b))
     print("true" if witness is not None else "false")
     if witness is not None:
@@ -306,6 +296,7 @@ def cmd_has_minor(args) -> int:
 
 
 def cmd_tutte(args) -> int:
+    from .tutte import tutte_polynomial
     poly = tutte_polynomial(load_matroid(args.file))
     if args.pretty:
         print(str(poly))
@@ -315,11 +306,14 @@ def cmd_tutte(args) -> int:
 
 
 def cmd_tutte_eval(args) -> int:
+    from .tutte import tutte_evaluate
     print(tutte_evaluate(load_matroid(args.file), args.x, args.y))
     return 0
 
 
 def cmd_chromatic(args) -> int:
+    from .graphs import component_count
+    from .tutte import chromatic_polynomial
     graph = load_graph(args.file)
     _refuse_large_enumeration(len(graph.edges), graph.v - component_count(graph))
     poly = chromatic_polynomial(graph)
@@ -331,6 +325,7 @@ def cmd_chromatic(args) -> int:
 
 
 def cmd_cycles(args) -> int:
+    from .graphs import get_cycles
     cycles = get_cycles(load_graph(args.file))
     if args.pretty:
         print(f"count: {len(cycles)}")
@@ -353,6 +348,7 @@ def cmd_cycles(args) -> int:
 
 
 def cmd_greedy(args) -> int:
+    from .optimize import greedy
     try:
         weights = json.loads(args.weights)
     except json.JSONDecodeError as exc:
@@ -367,6 +363,7 @@ def cmd_greedy(args) -> int:
 
 
 def cmd_polytope(args) -> int:
+    from .algebra import polytope_vertices
     data = polytope_vertices(load_matroid(args.file))
     if args.pretty:
         print(f"ambient dimension: {data.ambient_dim}")
@@ -385,6 +382,7 @@ def cmd_polytope(args) -> int:
 
 
 def cmd_chow(args) -> int:
+    from .algebra import chow_hilbert, chow_presentation
     m = load_matroid(args.file)
     if args.degree is None or 0 < args.degree < m.rank - 1:
         _refuse_many_flats(m)
@@ -420,12 +418,15 @@ def _refuse_large_enumeration(n: int, r: int) -> None:
 
 
 def cmd_uniform(args) -> int:
+    from .construct import uniform_matroid
     _refuse_large_enumeration(args.n, args.rank)
     _emit_matroid(uniform_matroid(args.rank, args.n), args.pretty)
     return 0
 
 
 def cmd_graphic(args) -> int:
+    from .construct import graphic_matroid
+    from .graphs import component_count
     graph = load_graph(args.file)
     _refuse_large_enumeration(len(graph.edges), graph.v - component_count(graph))
     _emit_matroid(graphic_matroid(graph), args.pretty)
@@ -433,6 +434,7 @@ def cmd_graphic(args) -> int:
 
 
 def cmd_linear(args) -> int:
+    from .construct import linear_matroid
     matrix = load_matrix(args.file, parse_field(args.field))
     _refuse_large_enumeration(matrix.cols, matrix.rank())
     _emit_matroid(linear_matroid(matrix), args.pretty)
@@ -440,16 +442,19 @@ def cmd_linear(args) -> int:
 
 
 def cmd_named(args) -> int:
+    from .construct import specific_matroid
     _emit_matroid(specific_matroid(args.name), args.pretty)
     return 0
 
 
 def cmd_direct_sum(args) -> int:
+    from .construct import direct_sum
     _emit_matroid(direct_sum(load_matroid(args.a), load_matroid(args.b)), args.pretty)
     return 0
 
 
 def cmd_components(args) -> int:
+    from .construct import components
     parts = components(load_matroid(args.file))
     if args.pretty:
         print(f"components: {len(parts)}")
@@ -490,12 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         add(name, func, help=help_text).add_argument("file", help="matroid file ('-' for stdin)")
 
-    p = add("delete", cmd_delete, help="delete a set of elements")
-    p.add_argument("--set", required=True, help="comma-separated indices")
-    p.add_argument("file")
-    p = add("contract", cmd_contract, help="contract a set of elements")
-    p.add_argument("--set", required=True, help="comma-separated indices")
-    p.add_argument("file")
+    for name in ("delete", "contract"):
+        p = add(name, cmd_delete_contract, help=f"{name} a set of elements")
+        p.add_argument("--set", required=True, help="comma-separated indices")
+        p.add_argument("file")
     p = add("minor", cmd_minor, help="contract then delete (indices of the input matroid)")
     p.add_argument("--contract", default="", help="comma-separated indices")
     p.add_argument("--delete", default="", help="comma-separated indices")

@@ -2,29 +2,28 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .subsets import GroundSubset
+from .subsets import Frozen, GroundSubset
 
 
-@dataclass(frozen=True, slots=True)
-class Graph:
+class Graph(Frozen):
     """Simple undirected graph: vertex count plus an ordered edge list.
 
     Edge order is fixed at construction; it defines the ground-set indexing
     of the graphic matroid. Edges are stored as (u, w) with u < w.
     """
 
+    __slots__ = ("v", "edges")
     v: int
     edges: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, v: int, edges: tuple[tuple[int, int], ...]) -> None:
         seen = set()
-        for u, w in self.edges:
-            if not (0 <= u < self.v and 0 <= w < self.v):
-                raise ValueError(f"edge ({u}, {w}) has an endpoint outside [0, {self.v})")
+        for u, w in edges:
+            if not (0 <= u < v and 0 <= w < v):
+                raise ValueError(f"edge ({u}, {w}) has an endpoint outside [0, {v})")
             if u == w:
                 raise ValueError(f"self-loop at vertex {u}")
             if u > w:
@@ -32,6 +31,7 @@ class Graph:
             if (u, w) in seen:
                 raise ValueError(f"duplicate edge ({u}, {w})")
             seen.add((u, w))
+        super().__init__(v, edges)
 
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.v)]
@@ -46,8 +46,7 @@ class Graph:
         return {e: i for i, e in enumerate(self.edges)}
 
 
-@dataclass(frozen=True, slots=True)
-class Cycle:
+class Cycle(Frozen):
     """A simple cycle: its edge set plus a canonical closed-walk representative.
 
     The representative starts (and ends) at the cycle's minimum vertex, with
@@ -55,6 +54,7 @@ class Cycle:
     rotation and orientation.
     """
 
+    __slots__ = ("edge_indices", "vertex_sequence")
     edge_indices: GroundSubset
     vertex_sequence: tuple[int, ...]
 

@@ -2,26 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .core import Matroid
-from .subsets import GroundSubset, iter_bits, mask_from_indices
+from .subsets import Frozen, GroundSubset, iter_bits, mask_from_indices
 from .transform import contraction, deletion
 
 
-@dataclass(frozen=True, slots=True)
-class IsoWitness:
+class IsoWitness(Frozen):
     """Permutation sending element i of the source to perm[i] of the target."""
 
+    __slots__ = ("perm",)
     perm: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class MinorWitness:
+class MinorWitness(Frozen):
     """Contract/delete pair (in the host matroid's indices) plus the isomorphism
     from the resulting minor onto the pattern."""
 
+    __slots__ = ("contract", "delete", "iso")
     contract: GroundSubset
     delete: GroundSubset
     iso: IsoWitness

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -29,18 +28,57 @@ def canon_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (mask.bit_count(), tuple(iter_bits(mask)))
 
 
-@dataclass(frozen=True, slots=True)
-class GroundSubset:
+class Frozen:
+    """Immutable value with its fields in ``__slots__`` order: positional
+    construction, equality within one class, hashing and a field repr."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes fields {self.__slots__}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GroundSubset(Frozen):
     """Immutable subset of {0, ..., n-1} stored as a bitmask."""
 
+    __slots__ = ("bits", "n")
     bits: int
     n: int
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, bits: int, n: int) -> None:
+        if n < 0:
             raise ValueError("ground set size must be nonnegative")
-        if self.bits < 0 or self.bits >> self.n:
-            raise ValueError(f"bitmask {self.bits:#x} has bits outside [0, {self.n})")
+        if bits < 0 or bits >> n:
+            raise ValueError(f"bitmask {bits:#x} has bits outside [0, {n})")
+        _set_bits(self, bits)
+        _set_n(self, n)
 
     @classmethod
     def of(cls, indices: Iterable[int], n: int) -> "GroundSubset":
@@ -96,3 +134,8 @@ class GroundSubset:
     def __repr__(self) -> str:
         inner = ", ".join(map(str, self.indices()))
         return f"GroundSubset({{{inner}}}, n={self.n})"
+
+
+# the slot setters, which skip the frozen __setattr__ on the hot constructor
+_set_bits = GroundSubset.bits.__set__
+_set_n = GroundSubset.n.__set__

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from .core import Matroid
-from .graphs import Graph
 
 
 class UnivarPoly:

@@ -8,11 +8,9 @@ wrappers are removed before the test returns.
 """
 
 import importlib.util
-import sys
 from pathlib import Path
 
 import matroidkit
-import matroidkit.cli  # noqa: F401  (install wraps only imported modules)
 from matroidkit import ExactMatrix
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -27,8 +25,11 @@ def load_spans():
 
 def test_traced_names_resolve_and_elimination_spans_fire():
     spans = load_spans()
+    # the package loads its modules on first use, and install wraps only the
+    # loaded ones
+    layers = {layer: importlib.import_module(f"matroidkit.{layer}") for layer in spans.TRACED}
     for layer, names in spans.TRACED.items():
-        mod = sys.modules[f"matroidkit.{layer}"]
+        mod = layers[layer]
         for attr in names:
             if "." in attr:
                 cls_name, meth = attr.split(".")

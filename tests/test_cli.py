@@ -480,14 +480,52 @@ def test_greedy_rejects_non_numeric_weights(capsys, tmp_path, weights):
     assert code == 1 and out == "" and err.startswith("error:")
 
 
-def test_cli_import_does_not_load_numpy():
+# Modules that neither `import matroidkit.cli` nor a light query may load.
+LAZY_LAYERS = ("construct", "graphs", "linalg", "transform", "optimize", "search", "tutte", "algebra")
+HEAVY = [f"matroidkit.{m}" for m in LAZY_LAYERS] + ["fractions", "dataclasses", "inspect", "numpy"]
+
+# Imports matroidkit.cli, or runs it as `python -m matroidkit.cli ARGS` when
+# given arguments, and prints the loaded module names to stderr on exit.
+COLD_PROBE = """
+import atexit, json, runpy, sys
+atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr))
+if len(sys.argv) > 1:
+    runpy.run_module("matroidkit.cli", run_name="__main__", alter_sys=True)
+else:
+    import matroidkit.cli
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, stdout, loaded, absent",
+    [
+        ([], "", [], HEAVY),
+        (
+            ["info"],
+            '{"n": 4, "rank": 2, "bases": 6, "loops": [], "coloops": [], "fvector": [1, 4, 1]}\n',
+            ["matroidkit.core"],
+            HEAVY,
+        ),
+        (["tutte-eval", "--x", "1", "--y", "1"], "6\n", ["matroidkit.tutte"], ["matroidkit.graphs"]),
+    ],
+    ids=["import", "info", "tutte-eval"],
+)
+def test_cold_start_loads_only_what_the_command_runs(tmp_path, argv, stdout, loaded, absent):
+    u24 = tmp_path / "u24.json"
+    bases = [[i, j] for i in range(4) for j in range(i + 1, 4)]
+    u24.write_text(json.dumps({"format": "matroid-v1", "n": 4, "bases": bases}))
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    probe = "import sys, matroidkit.cli; print('numpy' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "False"
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_PROBE, *argv, *([str(u24)] if argv else [])],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout == stdout
+    modules = set(json.loads(proc.stderr))
+    assert set(loaded) <= modules
+    assert not modules & set(absent), sorted(modules & set(absent))
 
 
 def test_deterministic_output(capsys, m_file):
