@@ -19,11 +19,15 @@ import argparse
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
 from .core import Matroid
 
 # Every other module is imported by the handler that uses it, so a process
 # loads only what its command runs.
+if TYPE_CHECKING:
+    from .graphs import Graph
+    from .linalg import ExactMatrix
 
 # The most candidate bases (`uniform`, `linear`, `graphic`) or flats (`info`, `flats`, `chow`).
 MAX_ENUMERATED = 10**6
@@ -93,19 +97,18 @@ def load_graph(path: str) -> Graph:
             raise ValueError("graph-v1 needs integer 'v' and a list 'edges'")
         if not all(isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges):
             raise ValueError("every edge must be a pair of integer vertices")
-        if v > MAX_GROUND:
-            raise ValueError(f"v = {v} exceeds the limit of {MAX_GROUND} vertices")
-        return graph_from_edges(v, [tuple(e) for e in edges])
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty graph file")
-    try:
-        v, m = map(int, lines[0].split())
-        edges = [tuple(map(int, ln.split())) for ln in lines[1 : 1 + m]]
-    except ValueError:
-        raise ValueError("graph text format is 'v m' then m lines 'u w'") from None
-    if len(edges) != m:
-        raise ValueError(f"expected {m} edge lines, found {len(edges)}")
+        edges = [tuple(e) for e in edges]
+    else:
+        lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("empty graph file")
+        try:
+            v, m = map(int, lines[0].split())
+            edges = [tuple(map(int, ln.split())) for ln in lines[1 : 1 + m]]
+        except ValueError:
+            raise ValueError("graph text format is 'v m' then m lines 'u w'") from None
+        if len(edges) != m:
+            raise ValueError(f"expected {m} edge lines, found {len(edges)}")
     if v > MAX_GROUND:
         raise ValueError(f"v = {v} exceeds the limit of {MAX_GROUND} vertices")
     return graph_from_edges(v, edges)
@@ -162,6 +165,31 @@ def parse_indices(text: str) -> list[int]:
         raise ValueError(f"bad index list {text!r}; use comma-separated integers") from None
 
 
+def _refuse_large_enumeration(n: int, r: int) -> None:
+    """Refuse to enumerate more than MAX_ENUMERATED candidate bases C(n, r).
+    C(n, i) grows with i up to n / 2, so the product stops at the first
+    partial value over the limit and never forms a huge binomial."""
+    count = 1
+    for i in range(min(r, n - r)):
+        count = count * (n - i) // (i + 1)
+        if count > MAX_ENUMERATED:
+            raise ValueError(f"C({n}, {r}) exceeds the limit of {MAX_ENUMERATED} candidate bases")
+
+
+def _refuse_many_flats(m: Matroid) -> None:
+    """Refuse 2^r > MAX_ENUMERATED: the closures of the subsets of one basis are distinct flats."""
+    if 1 << m.rank > MAX_ENUMERATED:
+        raise ValueError(f"rank {m.rank} gives at least 2^{m.rank} flats, over {MAX_ENUMERATED}")
+
+
+def _load_small_graph(path: str) -> Graph:
+    """A graph whose spanning forests are few enough to enumerate."""
+    from .graphs import component_count
+    graph = load_graph(path)
+    _refuse_large_enumeration(len(graph.edges), graph.v - component_count(graph))
+    return graph
+
+
 # -- rendering -----------------------------------------------------------------
 
 
@@ -183,30 +211,16 @@ def _emit_matroid(matroid: Matroid, pretty: bool) -> None:
     print("bases: " + ", ".join(_fmt_subset(b.indices(), matroid.labels) for b in matroid.bases))
 
 
-def _emit_subset_list(name: str, subsets, matroid: Matroid, pretty: bool) -> None:
-    if not pretty:
-        _emit({name: [list(s.indices()) for s in subsets]})
-        return
-    print(f"{name}:")
-    for s in subsets:
-        print("  " + _fmt_subset(s.indices(), matroid.labels))
-
-
 # -- subcommands ----------------------------------------------------------------
+# A handler prints its answer, or returns the matroid a constructor or a
+# minor command outputs, which `run` prints.
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> None:
     print("true" if load_matroid(args.file).is_valid() else "false")
-    return 0
 
 
-def _refuse_many_flats(m: Matroid) -> None:
-    """Refuse 2^r > MAX_ENUMERATED: the closures of the subsets of one basis are distinct flats."""
-    if 1 << m.rank > MAX_ENUMERATED:
-        raise ValueError(f"rank {m.rank} gives at least 2^{m.rank} flats, over {MAX_ENUMERATED}")
-
-
-def cmd_info(args) -> int:
+def cmd_info(args) -> None:
     m = load_matroid(args.file)
     _refuse_many_flats(m)
     info = {
@@ -222,18 +236,22 @@ def cmd_info(args) -> int:
             print(f"{key}: {value}")
     else:
         _emit(info)
-    return 0
 
 
-def cmd_subsets(args) -> int:
+def cmd_subsets(args) -> None:
     """`bases`, `circuits` and `hyperplanes`: the subset list the command names."""
     m = load_matroid(args.file)
     query = {"bases": lambda: m.bases, "circuits": m.circuits, "hyperplanes": m.hyperplanes}
-    _emit_subset_list(args.command, query[args.command](), m, args.pretty)
-    return 0
+    subsets = query[args.command]()
+    if args.pretty:
+        print(f"{args.command}:")
+        for s in subsets:
+            print("  " + _fmt_subset(s.indices(), m.labels))
+    else:
+        _emit({args.command: [list(s.indices()) for s in subsets]})
 
 
-def cmd_flats(args) -> int:
+def cmd_flats(args) -> None:
     m = load_matroid(args.file)
     _refuse_many_flats(m)
     levels = m.flats()
@@ -242,89 +260,66 @@ def cmd_flats(args) -> int:
             print(f"rank {k}: " + ", ".join(_fmt_subset(f.indices(), m.labels) for f in level))
     else:
         _emit({"flats": [[list(f.indices()) for f in level] for level in levels]})
-    return 0
 
 
-def cmd_dual(args) -> int:
-    from .transform import dual
-    _emit_matroid(dual(load_matroid(args.file)), args.pretty)
-    return 0
-
-
-def cmd_delete_contract(args) -> int:
-    """`delete` and `contract`: the minor the command names, on one index set."""
-    from .transform import contraction, deletion
-    op = deletion if args.command == "delete" else contraction
-    _emit_matroid(op(load_matroid(args.file), parse_indices(args.set)), args.pretty)
-    return 0
-
-
-def cmd_minor(args) -> int:
-    from .transform import minor
+def cmd_minor(args) -> Matroid:
+    """`dual`, `delete`, `contract` and `minor`: the matroid the command names."""
+    from . import transform
     m = load_matroid(args.file)
-    result = minor(m, parse_indices(args.contract), parse_indices(args.delete))
-    _emit_matroid(result, args.pretty)
-    return 0
+    if args.command == "dual":
+        return transform.dual(m)
+    if args.command == "minor":
+        return transform.minor(m, parse_indices(args.contract), parse_indices(args.delete))
+    op = transform.deletion if args.command == "delete" else transform.contraction
+    return op(m, parse_indices(args.set))
 
 
-def cmd_isomorphic(args) -> int:
-    from .search import isomorphism
-    witness = isomorphism(load_matroid(args.a), load_matroid(args.b))
+def cmd_search(args) -> None:
+    """`isomorphic` and `has-minor`: "true" and the witness as JSON, or "false"."""
+    from .search import has_minor, isomorphism
+    a, b = load_matroid(args.a), load_matroid(args.b)
+    witness = (isomorphism if args.command == "isomorphic" else has_minor)(a, b)
     print("true" if witness is not None else "false")
-    if witness is not None:
+    if witness is None:
+        return
+    if args.command == "isomorphic":
         _emit({"isomorphism": list(witness.perm)})
-    return 0
+        return
+    c, d = list(witness.contract.indices()), list(witness.delete.indices())
+    cset, dset = (",".join(map(str, s)) or "''" for s in (c, d))
+    replay = f"matroidkit minor --contract {cset} --delete {dset} {args.a}"
+    _emit(
+        {
+            "contract": c,
+            "delete": d,
+            "isomorphism": list(witness.iso.perm),
+            "replay": [replay, f"matroidkit isomorphic - {args.b}"],
+        }
+    )
 
 
-def cmd_has_minor(args) -> int:
-    from .search import has_minor
-    witness = has_minor(load_matroid(args.a), load_matroid(args.b))
-    print("true" if witness is not None else "false")
-    if witness is not None:
-        cset = ",".join(str(i) for i in witness.contract.indices()) or "''"
-        dset = ",".join(str(i) for i in witness.delete.indices()) or "''"
-        minor_cmd = f"matroidkit minor --contract {cset} --delete {dset} {args.a}"
-        _emit(
-            {
-                "contract": list(witness.contract.indices()),
-                "delete": list(witness.delete.indices()),
-                "isomorphism": list(witness.iso.perm),
-                "replay": [minor_cmd, f"matroidkit isomorphic - {args.b}"],
-            }
-        )
-    return 0
-
-
-def cmd_tutte(args) -> int:
+def cmd_tutte(args) -> None:
+    """`tutte` and `tutte-eval`: the Tutte polynomial, or its value at (x, y)."""
     from .tutte import tutte_polynomial
     poly = tutte_polynomial(load_matroid(args.file))
-    if args.pretty:
+    if args.command == "tutte-eval":
+        print(poly.evaluate(args.x, args.y))
+    elif args.pretty:
         print(str(poly))
     else:
         _emit({"format": "bivar-poly-v1", "terms": [list(t) for t in poly.sorted_terms()]})
-    return 0
 
 
-def cmd_tutte_eval(args) -> int:
-    from .tutte import tutte_evaluate
-    print(tutte_evaluate(load_matroid(args.file), args.x, args.y))
-    return 0
-
-
-def cmd_chromatic(args) -> int:
-    from .graphs import component_count
+def cmd_chromatic(args) -> None:
     from .tutte import chromatic_polynomial
-    graph = load_graph(args.file)
-    _refuse_large_enumeration(len(graph.edges), graph.v - component_count(graph))
-    poly = chromatic_polynomial(graph)
+    poly = chromatic_polynomial(_load_small_graph(args.file))
     if args.pretty:
         print(poly.factored())
     else:
         _emit({"coefficients": list(poly.coeffs), "factored": poly.factored()})
-    return 0
 
 
-def cmd_cycles(args) -> int:
+def cmd_cycles(args) -> None:
     from .graphs import get_cycles
     cycles = get_cycles(load_graph(args.file))
     if args.pretty:
@@ -344,10 +339,9 @@ def cmd_cycles(args) -> int:
                 ],
             }
         )
-    return 0
 
 
-def cmd_greedy(args) -> int:
+def cmd_greedy(args) -> None:
     from .optimize import greedy
     try:
         weights = json.loads(args.weights)
@@ -358,11 +352,10 @@ def cmd_greedy(args) -> int:
         _is_int(w) or (isinstance(w, float) and not math.isnan(w)) for w in weights
     ):
         raise ValueError("--weights must be a JSON array of numbers")
-    print(json.dumps(greedy(load_matroid(args.file), weights)))
-    return 0
+    _emit(greedy(load_matroid(args.file), weights))
 
 
-def cmd_polytope(args) -> int:
+def cmd_polytope(args) -> None:
     from .algebra import polytope_vertices
     data = polytope_vertices(load_matroid(args.file))
     if args.pretty:
@@ -378,17 +371,16 @@ def cmd_polytope(args) -> int:
                 "vertices": [list(v) for v in data.vertices],
             }
         )
-    return 0
 
 
-def cmd_chow(args) -> int:
+def cmd_chow(args) -> None:
     from .algebra import chow_hilbert, chow_presentation
     m = load_matroid(args.file)
     if args.degree is None or 0 < args.degree < m.rank - 1:
         _refuse_many_flats(m)
     if args.degree is not None:
         print(chow_hilbert(m, args.degree))
-        return 0
+        return
     pres = chow_presentation(m)
     if args.pretty:
         print(f"variables: {len(pres.flats)}")
@@ -403,57 +395,26 @@ def cmd_chow(args) -> int:
                 "quadrics": [list(q) for q in pres.quadric_gens],
             }
         )
-    return 0
 
 
-def _refuse_large_enumeration(n: int, r: int) -> None:
-    """Refuse to enumerate more than MAX_ENUMERATED candidate bases C(n, r).
-    C(n, i) grows with i up to n / 2, so the product stops at the first
-    partial value over the limit and never forms a huge binomial."""
-    count = 1
-    for i in range(min(r, n - r)):
-        count = count * (n - i) // (i + 1)
-        if count > MAX_ENUMERATED:
-            raise ValueError(f"C({n}, {r}) exceeds the limit of {MAX_ENUMERATED} candidate bases")
+def cmd_construct(args) -> Matroid:
+    """`uniform`, `graphic`, `linear`, `named` and `direct-sum`: the matroid the command builds."""
+    from . import construct
+    if args.command == "uniform":
+        _refuse_large_enumeration(args.n, args.rank)
+        return construct.uniform_matroid(args.rank, args.n)
+    if args.command == "graphic":
+        return construct.graphic_matroid(_load_small_graph(args.file))
+    if args.command == "linear":
+        matrix = load_matrix(args.file, parse_field(args.field))
+        _refuse_large_enumeration(matrix.cols, matrix.rank())
+        return construct.linear_matroid(matrix)
+    if args.command == "named":
+        return construct.specific_matroid(args.name)
+    return construct.direct_sum(load_matroid(args.a), load_matroid(args.b))
 
 
-def cmd_uniform(args) -> int:
-    from .construct import uniform_matroid
-    _refuse_large_enumeration(args.n, args.rank)
-    _emit_matroid(uniform_matroid(args.rank, args.n), args.pretty)
-    return 0
-
-
-def cmd_graphic(args) -> int:
-    from .construct import graphic_matroid
-    from .graphs import component_count
-    graph = load_graph(args.file)
-    _refuse_large_enumeration(len(graph.edges), graph.v - component_count(graph))
-    _emit_matroid(graphic_matroid(graph), args.pretty)
-    return 0
-
-
-def cmd_linear(args) -> int:
-    from .construct import linear_matroid
-    matrix = load_matrix(args.file, parse_field(args.field))
-    _refuse_large_enumeration(matrix.cols, matrix.rank())
-    _emit_matroid(linear_matroid(matrix), args.pretty)
-    return 0
-
-
-def cmd_named(args) -> int:
-    from .construct import specific_matroid
-    _emit_matroid(specific_matroid(args.name), args.pretty)
-    return 0
-
-
-def cmd_direct_sum(args) -> int:
-    from .construct import direct_sum
-    _emit_matroid(direct_sum(load_matroid(args.a), load_matroid(args.b)), args.pretty)
-    return 0
-
-
-def cmd_components(args) -> int:
+def cmd_components(args) -> None:
     from .construct import components
     parts = components(load_matroid(args.file))
     if args.pretty:
@@ -462,105 +423,115 @@ def cmd_components(args) -> int:
             print(f"  n={p.n} rank={p.rank} bases={len(p.bases)}")
     else:
         _emit({"components": [dump_matroid(p) for p in parts]})
-    return 0
 
 
 # -- wiring ---------------------------------------------------------------------
 
+FILE = {"file": {}}
+MATROID = {"file": {"help": "matroid file ('-' for stdin)"}}
+GRAPH = {"file": {"help": "graph file"}}
+PAIR = {"a": {}, "b": {}}
+INDICES = {"help": "comma-separated indices"}
+REQUIRED_INT = {"type": int, "required": True}
+ONE_SET = {"--set": {"required": True, **INDICES}, **FILE}
 
-def build_parser() -> argparse.ArgumentParser:
+# name -> (handler, help, its arguments in order); every command also takes --pretty
+COMMANDS = {
+    "validate": (cmd_validate, "check the basis-exchange axiom", MATROID),
+    "info": (cmd_info, "summary: n, rank, bases, loops, coloops, f-vector", MATROID),
+    "bases": (cmd_subsets, "list the bases", MATROID),
+    "circuits": (cmd_subsets, "list the circuits", MATROID),
+    "flats": (cmd_flats, "list the flats by rank", MATROID),
+    "hyperplanes": (cmd_subsets, "list the hyperplanes", MATROID),
+    "dual": (cmd_minor, "dual matroid", MATROID),
+    "tutte": (cmd_tutte, "Tutte polynomial", MATROID),
+    "polytope": (cmd_polytope, "basis polytope vertices and dimension", MATROID),
+    "components": (cmd_components, "connected components", MATROID),
+    "delete": (cmd_minor, "delete a set of elements", ONE_SET),
+    "contract": (cmd_minor, "contract a set of elements", ONE_SET),
+    "minor": (
+        cmd_minor,
+        "contract then delete (indices of the input matroid)",
+        {"--contract": {"default": "", **INDICES}, "--delete": {"default": "", **INDICES}, **FILE},
+    ),
+    "isomorphic": (cmd_search, "isomorphism test with witness", PAIR),
+    "has-minor": (
+        cmd_search,
+        "minor search with witness",
+        {"a": {"help": "host matroid file"}, "b": {"help": "pattern matroid file"}},
+    ),
+    "tutte-eval": (
+        cmd_tutte,
+        "evaluate the Tutte polynomial",
+        {"--x": REQUIRED_INT, "--y": REQUIRED_INT, **FILE},
+    ),
+    "chromatic": (cmd_chromatic, "chromatic polynomial of a graph", GRAPH),
+    "cycles": (cmd_cycles, "all simple cycles of a graph", GRAPH),
+    "greedy": (
+        cmd_greedy,
+        "maximum-weight basis by the greedy rule",
+        {"--weights": {"required": True, "help": "JSON array of weights"}, **FILE},
+    ),
+    "chow": (
+        cmd_chow,
+        "flat-algebra presentation, or one Hilbert value",
+        {"--degree": {"type": int}, **FILE},
+    ),
+    "uniform": (
+        cmd_construct,
+        "uniform matroid U(rank, n)",
+        {"--rank": REQUIRED_INT, "--n": REQUIRED_INT},
+    ),
+    "graphic": (cmd_construct, "graphic matroid of a graph", GRAPH),
+    "linear": (
+        cmd_construct,
+        "column matroid of an exact matrix",
+        {
+            "--field": {"required": True, "help": "'q' for rationals or 'p:<prime>'"},
+            "file": {"help": "matrix file"},
+        },
+    ),
+    "named": (cmd_construct, "a named matroid", {"name": {"help": "fano or vamos"}}),
+    "direct-sum": (cmd_construct, "direct sum of two matroids", PAIR),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone when it names one,
+    which is all a run needs. With one command built, the usage line still
+    lists every choice; with all built, argparse writes that list itself and
+    names the argument "command" in its errors."""
     parser = argparse.ArgumentParser(
         prog="matroidkit", description="Matroid computations over JSON file formats."
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--pretty", action="store_true", help="human-readable output")
-
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
+    one = command in COMMANDS
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}" if one else None
+    )
+    for name in [command] if one else COMMANDS:
+        func, help_text, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--pretty", action="store_true", help="human-readable output")
+        for arg, options in arguments.items():
+            p.add_argument(arg, **options)
         p.set_defaults(func=func)
-        return p
-
-    for name, func, help_text in [
-        ("validate", cmd_validate, "check the basis-exchange axiom"),
-        ("info", cmd_info, "summary: n, rank, bases, loops, coloops, f-vector"),
-        ("bases", cmd_subsets, "list the bases"),
-        ("circuits", cmd_subsets, "list the circuits"),
-        ("flats", cmd_flats, "list the flats by rank"),
-        ("hyperplanes", cmd_subsets, "list the hyperplanes"),
-        ("dual", cmd_dual, "dual matroid"),
-        ("tutte", cmd_tutte, "Tutte polynomial"),
-        ("polytope", cmd_polytope, "basis polytope vertices and dimension"),
-        ("components", cmd_components, "connected components"),
-    ]:
-        add(name, func, help=help_text).add_argument("file", help="matroid file ('-' for stdin)")
-
-    for name in ("delete", "contract"):
-        p = add(name, cmd_delete_contract, help=f"{name} a set of elements")
-        p.add_argument("--set", required=True, help="comma-separated indices")
-        p.add_argument("file")
-    p = add("minor", cmd_minor, help="contract then delete (indices of the input matroid)")
-    p.add_argument("--contract", default="", help="comma-separated indices")
-    p.add_argument("--delete", default="", help="comma-separated indices")
-    p.add_argument("file")
-
-    p = add("isomorphic", cmd_isomorphic, help="isomorphism test with witness")
-    p.add_argument("a")
-    p.add_argument("b")
-    p = add("has-minor", cmd_has_minor, help="minor search with witness")
-    p.add_argument("a", help="host matroid file")
-    p.add_argument("b", help="pattern matroid file")
-
-    p = add("tutte-eval", cmd_tutte_eval, help="evaluate the Tutte polynomial")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--y", type=int, required=True)
-    p.add_argument("file")
-
-    p = add("chromatic", cmd_chromatic, help="chromatic polynomial of a graph")
-    p.add_argument("file", help="graph file")
-    p = add("cycles", cmd_cycles, help="all simple cycles of a graph")
-    p.add_argument("file", help="graph file")
-
-    p = add("greedy", cmd_greedy, help="maximum-weight basis by the greedy rule")
-    p.add_argument("--weights", required=True, help="JSON array of weights")
-    p.add_argument("file")
-
-    p = add("chow", cmd_chow, help="flat-algebra presentation, or one Hilbert value")
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("file")
-
-    p = add("uniform", cmd_uniform, help="uniform matroid U(rank, n)")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("graphic", cmd_graphic, help="graphic matroid of a graph")
-    p.add_argument("file", help="graph file")
-
-    p = add("linear", cmd_linear, help="column matroid of an exact matrix")
-    p.add_argument("--field", required=True, help="'q' for rationals or 'p:<prime>'")
-    p.add_argument("file", help="matrix file")
-
-    p = add("named", cmd_named, help="a named matroid")
-    p.add_argument("name", help="fano or vamos")
-
-    p = add("direct-sum", cmd_direct_sum, help="direct sum of two matroids")
-    p.add_argument("a")
-    p.add_argument("b")
-
     return parser
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        result = args.func(args)
+        if result is not None:
+            _emit_matroid(result, args.pretty)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

@@ -4,13 +4,15 @@ named matroids, direct sums, and connected components."""
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core import Matroid, SubsetLike, as_mask
-from .graphs import Graph
-from .linalg import ExactMatrix, echelon_insert
 from .subsets import GroundSubset, iter_bits, mask_from_indices
-from .transform import restriction
+
+# linalg and transform load only with the one constructor that uses each
+if TYPE_CHECKING:
+    from .graphs import Graph
+    from .linalg import ExactMatrix
 
 FANO_NONBASES = (
     (0, 1, 2),
@@ -84,6 +86,7 @@ def _bases(n: int, start, extend) -> list[int]:
 
 def linear_matroid(matrix: ExactMatrix) -> Matroid:
     """Column matroid of an exact matrix, grown one echelon step per column."""
+    from .linalg import echelon_insert
     cols = [{i: r[j] for i, r in enumerate(matrix.entries) if r[j]} for j in range(matrix.cols)]
 
     def extend(pivots: dict, j: int) -> dict | None:
@@ -192,6 +195,7 @@ def components(matroid: Matroid) -> list[Matroid]:
     restrictions, ordered by their minimum element, so a matroid assembled as
     a direct sum of connected pieces is reproduced by summing the results.
     """
+    from .transform import restriction
     n = matroid.n
     b = matroid.basis_masks[0]
     base_set = set(matroid.basis_masks)

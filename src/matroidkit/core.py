@@ -157,15 +157,27 @@ class Matroid:
         s = as_mask(subset, self.n)
         return self._rank_of_mask(s) < s.bit_count()
 
+    def _columns(self) -> list[int]:
+        """col[e]: the bitmask over basis positions of the bases that contain e.
+        A set is independent exactly when the AND of its columns is nonzero."""
+        col = [0] * self.n
+        for i, b in enumerate(self._masks):
+            for e in iter_bits(b):
+                col[e] |= 1 << i
+        return col
+
     def independents(self, k: int) -> list[GroundSubset]:
         """All independent k-subsets, in lexicographic order."""
         if k < 0:
             raise ValueError("subset size must be nonnegative")
+        col = self._columns()
         out = []
         for combo in combinations(range(self.n), k):
-            mask = mask_from_indices(combo, self.n)
-            if self._rank_of_mask(mask) == k:
-                out.append(GroundSubset(mask, self.n))
+            alive = -1  # every basis, for the empty set
+            for e in combo:
+                alive &= col[e]
+            if alive:
+                out.append(GroundSubset(mask_from_indices(combo, self.n), self.n))
         return out
 
     # -- circuits, loops, coloops --------------------------------------------

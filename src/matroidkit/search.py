@@ -6,7 +6,6 @@ from itertools import combinations
 
 from .core import Matroid
 from .subsets import Frozen, GroundSubset, iter_bits, mask_from_indices
-from .transform import contraction, deletion
 
 
 class IsoWitness(Frozen):
@@ -136,6 +135,7 @@ def has_minor(host: Matroid, pattern: Matroid) -> MinorWitness | None:
     the pattern's. Only survivors are built with `deletion` and handed to
     `isomorphism`, which screens by circuit-size multiset before it searches.
     """
+    from .transform import contraction, deletion
     if pattern.rank > host.rank or pattern.n > host.n:
         return None
     csize = host.rank - pattern.rank
@@ -156,10 +156,7 @@ def has_minor(host: Matroid, pattern: Matroid) -> MinorWitness | None:
         inner = contraction(host, contract_set)
         if inner.rank != pattern.rank:
             continue
-        col = [0] * inner_n
-        for i, b in enumerate(inner.basis_masks):
-            for e in iter_bits(b):
-                col[e] |= 1 << i
+        col = inner._columns()
         every = (1 << len(inner.basis_masks)) - 1
         for delete_set, dmask, kept in delete_sets:
             dead = 0

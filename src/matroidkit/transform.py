@@ -18,19 +18,31 @@ def dual(matroid: Matroid) -> Matroid:
 
 def _reindex(matroid: Matroid, keep: int, masks: Iterable[int]) -> Matroid:
     """The matroid on the elements of `keep`, re-indexed densely to 0..|keep|-1,
-    whose bases are the given masks (each a subset of `keep`), labels carried over."""
-    elems = list(iter_bits(keep))
-    pos = {orig: i for i, orig in enumerate(elems)}
+    whose bases are the given masks (each a subset of `keep`), labels carried over.
+    Each run of consecutive kept elements moves down as one block, by the
+    number of dropped elements below it, so a mask costs one step per run it
+    meets."""
+    run_of = [None] * matroid.n  # kept element -> (its run's bits, how far the run moves)
+    rest, placed = keep, 0
+    while rest:
+        low = rest & -rest
+        run = rest & ~(rest + low)  # the carry clears exactly the lowest run
+        start, length = low.bit_length() - 1, run.bit_count()
+        run_of[start : start + length] = [(run, start - placed)] * length
+        rest ^= run
+        placed += length
     new_masks = []
     for b in masks:
         m = 0
-        for e in iter_bits(b):
-            m |= 1 << pos[e]
+        while b:
+            run, shift = run_of[(b & -b).bit_length() - 1]
+            m |= (b & run) >> shift
+            b &= ~run
         new_masks.append(m)
     labels = None
     if matroid.labels is not None:
-        labels = tuple(matroid.labels[i] for i in elems)
-    return Matroid._from_masks(len(elems), new_masks, labels)
+        labels = tuple(matroid.labels[i] for i in iter_bits(keep))
+    return Matroid._from_masks(placed, new_masks, labels)
 
 
 def _minor(matroid: Matroid, x: int, y: int) -> Matroid:

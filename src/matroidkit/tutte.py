@@ -78,32 +78,35 @@ class UnivarPoly:
 
     def _divide_by_root(self, root: int) -> "UnivarPoly | None":
         """Exact synthetic division by (x - root); None if root is not a root."""
-        if self.evaluate(root) != 0:
-            return None
         quotient = []
         carry = 0
         for c in reversed(self.coeffs):
             carry = carry * root + c
             quotient.append(carry)
-        quotient.pop()  # final carry is the (zero) remainder
+        if quotient.pop():  # the final carry is the remainder
+            return None
         return UnivarPoly(reversed(quotient))
 
     def factored(self, var: str = "k") -> str:
-        """Display factored over small integer roots (root-stripping)."""
+        """Display factored over the integer roots 0..degree (root-stripping).
+        The zero roots are the low zero coefficients. A positive root divides
+        the constant term of what remains (rational root theorem), and none is
+        left once the coefficients all have one sign (Descartes' rule of signs)."""
         if not self.coeffs:
             return "0"
-        rem = self
-        roots: list[tuple[int, int]] = []
-        for root in range(0, self.degree + 1):
+        zeros = next(i for i, c in enumerate(self.coeffs) if c)
+        rem = UnivarPoly(self.coeffs[zeros:])
+        roots: list[tuple[int, int]] = [(0, zeros)] if zeros else []
+        mixed = min(rem.coeffs) < 0 < max(rem.coeffs)
+        for root in range(1, self.degree + 1):
+            if not mixed or root > abs(rem.coeffs[0]):
+                break
             mult = 0
-            while rem.degree >= 1:
-                divided = rem._divide_by_root(root)
-                if divided is None:
-                    break
-                rem = divided
-                mult += 1
+            while rem.coeffs[0] % root == 0 and (q := rem._divide_by_root(root)) is not None:
+                rem, mult = q, mult + 1
             if mult:
                 roots.append((root, mult))
+                mixed = min(rem.coeffs) < 0 < max(rem.coeffs)
         pieces = []
         if rem.degree >= 1:
             pieces.append(f"({rem.render(var)})")

@@ -484,6 +484,11 @@ def test_greedy_rejects_non_numeric_weights(capsys, tmp_path, weights):
 LAZY_LAYERS = ("construct", "graphs", "linalg", "transform", "optimize", "search", "tutte", "algebra")
 HEAVY = [f"matroidkit.{m}" for m in LAZY_LAYERS] + ["fractions", "dataclasses", "inspect", "numpy"]
 
+
+def heavy_but(*layers):
+    return [m for m in HEAVY if m.split(".")[-1] not in layers]
+
+
 # Imports matroidkit.cli, or runs it as `python -m matroidkit.cli ARGS` when
 # given arguments, and prints the loaded module names to stderr on exit.
 COLD_PROBE = """
@@ -496,36 +501,138 @@ else:
 """
 
 
+# In argv, "M" stands for a U(2,4) matroid file and "G" for a triangle graph
+# file. A stdout of None means: what the same command prints in process.
 @pytest.mark.parametrize(
     "argv, stdout, loaded, absent",
     [
         ([], "", [], HEAVY),
         (
-            ["info"],
+            ["info", "M"],
             '{"n": 4, "rank": 2, "bases": 6, "loops": [], "coloops": [], "fvector": [1, 4, 1]}\n',
             ["matroidkit.core"],
             HEAVY,
         ),
-        (["tutte-eval", "--x", "1", "--y", "1"], "6\n", ["matroidkit.tutte"], ["matroidkit.graphs"]),
+        (["tutte-eval", "--x", "1", "--y", "1", "M"], "6\n", ["matroidkit.tutte"], ["matroidkit.graphs"]),
+        (
+            ["uniform", "--rank", "1", "--n", "2"],
+            '{"format": "matroid-v1", "n": 2, "bases": [[0], [1]]}\n',
+            ["matroidkit.construct"],
+            heavy_but("construct"),
+        ),
+        (["named", "fano"], None, ["matroidkit.construct"], heavy_but("construct")),
+        (["direct-sum", "M", "M"], None, ["matroidkit.construct"], heavy_but("construct")),
+        (["graphic", "G"], None, ["matroidkit.graphs"], heavy_but("construct", "graphs")),
+        (["isomorphic", "M", "M"], None, ["matroidkit.search"], heavy_but("search")),
     ],
-    ids=["import", "info", "tutte-eval"],
+    ids=["import", "info", "tutte-eval", "uniform", "named", "direct-sum", "graphic", "isomorphic"],
 )
-def test_cold_start_loads_only_what_the_command_runs(tmp_path, argv, stdout, loaded, absent):
+def test_cold_start_loads_only_what_the_command_runs(
+    capsys, tmp_path, argv, stdout, loaded, absent
+):
     u24 = tmp_path / "u24.json"
     bases = [[i, j] for i in range(4) for j in range(i + 1, 4)]
     u24.write_text(json.dumps({"format": "matroid-v1", "n": 4, "bases": bases}))
+    triangle = tmp_path / "triangle.txt"
+    triangle.write_text("3 3\n0 1\n1 2\n0 2\n")
+    argv = [{"M": str(u24), "G": str(triangle)}.get(a, a) for a in argv]
+    if stdout is None:
+        assert run(argv) == 0
+        stdout = capsys.readouterr().out
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run(
-        [sys.executable, "-c", COLD_PROBE, *argv, *([str(u24)] if argv else [])],
-        env=env,
-        capture_output=True,
-        text=True,
+        [sys.executable, "-c", COLD_PROBE, *argv], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0 and proc.stdout == stdout
     modules = set(json.loads(proc.stderr))
     assert set(loaded) <= modules
     assert not modules & set(absent), sorted(modules & set(absent))
+
+
+# A valid argument list for every command, after the command name.
+VALID_ARGS = {
+    "validate": ["m.json"],
+    "info": ["m.json"],
+    "bases": ["m.json"],
+    "circuits": ["m.json"],
+    "flats": ["m.json"],
+    "hyperplanes": ["m.json"],
+    "dual": ["-"],
+    "tutte": ["m.json"],
+    "polytope": ["m.json"],
+    "components": ["m.json"],
+    "delete": ["--set", "0,1", "m.json"],
+    "contract": ["--set", "", "m.json"],
+    "minor": ["--delete", "2", "m.json"],
+    "isomorphic": ["a.json", "b.json"],
+    "has-minor": ["a.json", "b.json"],
+    "tutte-eval": ["--x", "2", "--y", "-1", "m.json"],
+    "chromatic": ["g.txt"],
+    "cycles": ["g.txt"],
+    "greedy": ["--weights", "[1, 2]", "m.json"],
+    "chow": ["--degree", "1", "m.json"],
+    "uniform": ["--rank", "2", "--n", "5"],
+    "graphic": ["g.txt"],
+    "linear": ["--field", "q", "a.json"],
+    "named": ["fano"],
+    "direct-sum": ["a.json", "b.json"],
+}
+BAD_INTS = [
+    ["tutte-eval", "--x", "a", "--y", "1", "m.json"],
+    ["chow", "--degree", "1.5", "m.json"],
+    ["uniform", "--rank", "two", "--n", "5"],
+]
+
+
+def parse(parser, argv):
+    """Exit code (None when parsing succeeds), parsed values, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            values, code = vars(parser.parse_args(argv)), None
+        except SystemExit as exc:
+            values, code = None, exc.code
+    return code, values, out.getvalue(), err.getvalue()
+
+
+def test_one_command_parser_answers_as_the_full_parser():
+    """`run` builds only the sub-parser its first argument names; on every
+    command, with help, a missing or bad argument and a stray one, it parses,
+    prints and exits as the parser of all commands does."""
+    assert list(VALID_ARGS) == list(cli.COMMANDS)
+    cases = list(BAD_INTS)
+    for name, rest in VALID_ARGS.items():
+        cases += [
+            [name, *rest],
+            [name, "--pretty", *rest],
+            [name, "-h"],
+            [name],
+            [name, *rest, "stray"],
+            [name, "--bogus", *rest],
+        ]
+    codes = set()
+    for argv in cases:
+        got = parse(cli.build_parser(argv[0]), argv)
+        assert got == parse(cli.build_parser(), argv), argv
+        codes.add(got[0])
+    assert codes == {None, 0, 2}
+    # the one-command parser knows no other command
+    assert parse(cli.build_parser("info"), ["bases", "m.json"])[0] == 2
+
+
+def test_run_builds_one_sub_parser_unless_the_command_is_unknown(capsys, m_file, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(a) or build(*a))
+    assert invoke(capsys, "info", m_file)[0] == 0
+    code, out, err = invoke(capsys, "nonsense")
+    assert built == [("info",), ("nonsense",)]
+    assert code == 2 and out == "" and "invalid choice" in err and "nonsense" in err
+    listed = err.split("choose from", 1)[1]
+    assert all(name in listed for name in cli.COMMANDS)
+    code, out, err = invoke(capsys, "--help")
+    assert code == 0 and all(name in out for name in cli.COMMANDS)
 
 
 def test_deterministic_output(capsys, m_file):

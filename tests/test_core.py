@@ -11,6 +11,7 @@ from oracles import (
     brute_closure,
     brute_flats_by_rank,
     brute_is_valid,
+    brute_rank,
     is_independent,
     random_matroid,
 )
@@ -156,6 +157,21 @@ def test_independents(running_example, u24):
     assert indices(running_example.independents(2)) == {(0, 1), (0, 2)}
     assert indices(running_example.independents(0)) == {()}
     assert indices(u24.independents(1)) == {(0,), (1,), (2,), (3,)}
+
+
+def test_independents_match_brute_force(running_example, u24):
+    """Every k-subset of rank k, in lexicographic order, from k = 0 to past the rank."""
+    for m in [running_example, u24, uniform_matroid(0, 3)] + seeded_matroids(61):
+        for k in range(m.rank + 2):
+            expected = [
+                combo
+                for combo in combinations(range(m.n), k)
+                if brute_rank(m, sum(1 << e for e in combo)) == k
+            ]
+            assert [s.indices() for s in m.independents(k)] == expected
+        assert m.independents(m.rank + 1) == []
+    with pytest.raises(ValueError):
+        u24.independents(-1)
 
 
 # -- circuits ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from matroidkit import (
     uniform_matroid,
 )
 from matroidkit.subsets import iter_bits
+from matroidkit.transform import _reindex
 from oracles import brute_rank, random_matroid
 
 
@@ -152,3 +153,20 @@ def test_basis_count_identity(m4):
         total = len(deletion(m4, [e]).bases) + len(contraction(m4, [e]).bases)
         assert total == len(m4.bases)
 
+
+
+def test_reindex_matches_bit_by_bit_mapping():
+    """Seeded keep sets and basis families, ground sets up to 80 elements so
+    that kept runs cross word boundaries, against the i-th kept element -> i map."""
+    rng = Random(33)
+    for _ in range(300):
+        n = rng.randint(1, 80)
+        keep = rng.getrandbits(n) | 1 << rng.randrange(n)
+        elems = list(iter_bits(keep))
+        r = rng.randint(0, len(elems))
+        bases = [sum(1 << e for e in rng.sample(elems, r)) for _ in range(rng.randint(1, 6))]
+        labels = [f"e{i}" for i in range(n)] if rng.random() < 0.5 else None
+        got = _reindex(Matroid(n, [list(iter_bits(b)) for b in bases], labels), keep, bases)
+        expected = {sum(1 << elems.index(e) for e in iter_bits(b)) for b in bases}
+        assert got.n == len(elems) and set(got.basis_masks) == expected
+        assert got.labels == (None if labels is None else tuple(labels[e] for e in elems))

@@ -1,3 +1,4 @@
+import time
 from random import Random
 
 from matroidkit import (
@@ -118,3 +119,50 @@ def test_univar_poly_rendering():
     assert p.factored() == "k(k - 1)(k - 2)"
     assert UnivarPoly(()).factored() == "0"
     assert UnivarPoly((5,)).render() == "5"
+
+
+def scan_factored(p: UnivarPoly) -> str:
+    """`factored` by the full scan: every integer 0..degree is tried by
+    synthetic division until it divides no more."""
+    coeffs, roots = list(p.coeffs), []
+    for root in range(p.degree + 1):
+        mult = 0
+        while len(coeffs) > 1:
+            carry, quotient = 0, []
+            for c in reversed(coeffs):
+                carry = carry * root + c
+                quotient.append(carry)
+            if quotient.pop():
+                break
+            coeffs, mult = quotient[::-1], mult + 1
+        if mult:
+            roots.append(("k" if root == 0 else f"(k - {root})") + (f"^{mult}" if mult > 1 else ""))
+    rest = UnivarPoly(coeffs)
+    head = f"({rest.render()})" if rest.degree >= 1 else "" if coeffs == [1] else str(coeffs[0])
+    return head + "".join(roots) or "1"
+
+
+def test_factored_matches_the_full_scan():
+    """Seeded products of (k - r) factors, r in -3..12, with a small cofactor,
+    and chromatic polynomials of random graphs."""
+    from oracles import random_graph
+
+    rng = Random(17)
+    polys = [chromatic_polynomial(random_graph(rng, max_v=6)) for _ in range(40)]
+    for _ in range(400):
+        p = UnivarPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))])
+        p = p if p.coeffs else UnivarPoly([rng.choice([-6, -1, 1, 2])])
+        for _ in range(rng.randint(0, 7)):
+            p = p * UnivarPoly([-rng.choice([0, 0, 1, 1, 2, 3, 5, 12, -1, -3]), 1])
+        polys.append(p)
+    for p in polys:
+        assert p.factored() == scan_factored(p), p.coeffs
+    assert {p.factored().count("(k - ") for p in polys} >= {0, 1, 2, 3}
+
+
+def test_factored_of_a_high_degree_polynomial_is_fast():
+    p = UnivarPoly([1] * 4097)  # 1 + k + ... + k^4096: no integer root
+    start = time.perf_counter()
+    text = p.factored()
+    assert time.perf_counter() - start < 1
+    assert text == f"({p.render()})"
