@@ -16,6 +16,7 @@ the answer is true.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -535,6 +536,8 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    # The collection at interpreter exit then skips every object made so far.
+    gc.freeze()
     sys.exit(run(sys.argv[1:]))
 
 

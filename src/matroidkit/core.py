@@ -29,7 +29,7 @@ class Matroid:
     Labels are display-only metadata; all computation uses indices.
     """
 
-    __slots__ = ("n", "labels", "_masks", "_rank", "_bases", "_circuits", "_flats")
+    __slots__ = ("n", "labels", "_masks", "_rank", "_bases", "_flats")
 
     def __init__(
         self,
@@ -70,7 +70,6 @@ class Matroid:
         self._masks = tuple(dedup)
         self._rank = cards.pop()
         self._bases = None
-        self._circuits = None
         self._flats = None
 
     # -- structure -----------------------------------------------------------
@@ -170,6 +169,8 @@ class Matroid:
         """All independent k-subsets, in lexicographic order."""
         if k < 0:
             raise ValueError("subset size must be nonnegative")
+        if k > self._rank:  # every independent set lies in a basis
+            return []
         col = self._columns()
         out = []
         for combo in combinations(range(self.n), k):
@@ -201,14 +202,10 @@ class Matroid:
         fundamental circuits C(e, b) over every basis b and e outside b. Each is
         a circuit, and a circuit C is C(e, b) for any e in C and any basis b
         containing C - {e}; loops come out as one-element circuits."""
-        if self._circuits is None:
-            base_set = set(self._masks)
-            full = self._full()
-            found = {
-                self._exchange(base_set, b, e) for b in self._masks for e in iter_bits(full ^ b)
-            }
-            self._circuits = tuple(GroundSubset(m, self.n) for m in sorted(found, key=canon_key))
-        return self._circuits
+        base_set = set(self._masks)
+        full = self._full()
+        found = {self._exchange(base_set, b, e) for b in self._masks for e in iter_bits(full ^ b)}
+        return tuple(GroundSubset(m, self.n) for m in sorted(found, key=canon_key))
 
     def loops(self) -> GroundSubset:
         return GroundSubset(self._closure_mask(0), self.n)

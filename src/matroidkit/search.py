@@ -35,11 +35,13 @@ def apply_permutation(mask: int, perm: tuple[int, ...]) -> int:
 def isomorphism(source: Matroid, target: Matroid) -> IsoWitness | None:
     """First basis-preserving bijection in deterministic order, or None.
 
-    The search is pruned backtracking: candidates must match per-element basis
-    degrees, and partial maps must preserve pairwise basis co-occurrence
-    counts. A complete assignment is accepted only if it maps the basis set
-    onto the target's basis set exactly. The search runs depth first on its
-    own stack and tries the candidates of each element in increasing order.
+    Size, rank, basis count and the sorted per-element basis degrees must
+    agree. The search is then pruned backtracking: candidates must match
+    per-element basis degrees, and partial maps must preserve pairwise basis
+    co-occurrence counts. A complete assignment is accepted only if it maps
+    the basis set onto the target's basis set exactly. The search runs depth
+    first on its own stack and tries the candidates of each element in
+    increasing order.
     """
     if (
         source.n != target.n
@@ -50,10 +52,6 @@ def isomorphism(source: Matroid, target: Matroid) -> IsoWitness | None:
     n = source.n
     if source == target:
         return IsoWitness(tuple(range(n)))
-    if sorted(len(c) for c in source.circuits()) != sorted(
-        len(c) for c in target.circuits()
-    ):
-        return None
 
     def degrees(m: Matroid) -> list[int]:
         deg = [0] * n
@@ -133,7 +131,7 @@ def has_minor(host: Matroid, pattern: Matroid) -> MinorWitness | None:
     bases of (host / I) \\ D. Among the kept elements, col[e] & alive == 0
     marks a loop and col[e] & alive == alive a coloop; both counts must equal
     the pattern's. Only survivors are built with `deletion` and handed to
-    `isomorphism`, which screens by circuit-size multiset before it searches.
+    `isomorphism`, which compares per-element basis degrees before it searches.
     """
     from .transform import contraction, deletion
     if pattern.rank > host.rank or pattern.n > host.n:

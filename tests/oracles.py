@@ -217,13 +217,15 @@ def brute_isomorphic(a: Matroid, b: Matroid) -> bool:
         return False
     target = set(b.basis_masks)
     for perm in permutations(range(a.n)):
-        mapped = set()
+        # A permutation maps distinct bases to distinct sets, so with equal
+        # basis counts it is an isomorphism once every image is a basis.
         for mask in a.basis_masks:
             out = 0
             for e in iter_bits(mask):
                 out |= 1 << perm[e]
-            mapped.add(out)
-        if mapped == target:
+            if out not in target:
+                break
+        else:
             return True
     return False
 

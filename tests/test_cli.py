@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -548,6 +549,32 @@ def test_cold_start_loads_only_what_the_command_runs(
     modules = set(json.loads(proc.stderr))
     assert set(loaded) <= modules
     assert not modules & set(absent), sorted(modules & set(absent))
+
+
+FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))
+runpy.run_module("matroidkit.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_main_freezes_the_heap_and_run_leaves_it(capsys, m_file):
+    """`main` freezes every object made before the command runs, so the
+    collection at interpreter exit skips them; `run`, which tests and library
+    callers use in process, leaves the garbage collector as it was."""
+    before = gc.get_freeze_count()
+    assert run(["info", m_file]) == 0
+    assert gc.get_freeze_count() == before
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", FREEZE_PROBE, "info", m_file],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout == capsys.readouterr().out
+    assert int(proc.stderr) > 0
 
 
 # A valid argument list for every command, after the command name.

@@ -174,6 +174,13 @@ def test_independents_match_brute_force(running_example, u24):
         u24.independents(-1)
 
 
+def test_independents_above_the_rank_return_at_once():
+    # C(24, 12) = 2,704,156 subsets, none of them independent
+    start = time.perf_counter()
+    assert uniform_matroid(2, 24).independents(12) == []
+    assert time.perf_counter() - start < 0.1
+
+
 # -- circuits ----------------------------------------------------------------------
 
 

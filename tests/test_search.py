@@ -1,3 +1,4 @@
+from collections import defaultdict
 from fractions import Fraction
 from random import Random
 
@@ -15,6 +16,7 @@ from matroidkit import (
     uniform_matroid,
 )
 from matroidkit.search import apply_permutation
+from matroidkit.subsets import iter_bits
 from oracles import (
     brute_isomorphic,
     brute_minor_witness,
@@ -82,6 +84,42 @@ def test_isomorphism_matches_brute_force():
         assert (got is not None) == brute_isomorphic(a, b)
         if got is not None:
             verify_iso(a, b, got)
+
+
+def degree_key(m):
+    """n, rank, basis count and the sorted per-element basis counts: the
+    invariants `isomorphism` compares before it backtracks."""
+    deg = [0] * m.n
+    for b in m.basis_masks:
+        for e in iter_bits(b):
+            deg[e] += 1
+    return m.n, m.rank, len(m.basis_masks), tuple(sorted(deg))
+
+
+def test_isomorphism_decides_pairs_with_tied_degrees():
+    """Seeded linear matroids on 8 elements, paired within each class of equal
+    degree_key, so the pair-count backtracking alone tells them apart; some
+    pairs also differ in their multisets of circuit sizes."""
+    rng = Random(2)
+    groups = defaultdict(set)
+    for _ in range(500):
+        p, rows = rng.choice((2, 3, 5)), rng.choice((3, 4))
+        data = [[rng.randrange(p) for _ in range(8)] for _ in range(rows)]
+        m = linear_matroid(ExactMatrix(data, field=p))
+        groups[degree_key(m)].add(m)
+    apart = circuit_sizes_differ = 0
+    for members in groups.values():
+        members = sorted(members, key=lambda m: m.basis_masks)
+        for a, b in zip(members, members[1:]):
+            got = isomorphism(a, b)
+            if got is not None:
+                verify_iso(a, b, got)
+                continue
+            assert not brute_isomorphic(a, b)
+            apart += 1
+            sizes = [sorted(len(c) for c in m.circuits()) for m in (a, b)]
+            circuit_sizes_differ += sizes[0] != sizes[1]
+    assert apart >= 5 and circuit_sizes_differ >= 1
 
 
 def test_has_minor_excluded(m5, fano, u24):
