@@ -8,9 +8,9 @@ products of incomparable flat variables.
 
 from __future__ import annotations
 
+from .construct import _parts
 from .core import Matroid
-from .linalg import rank_rows_exact
-from .subsets import Frozen, GroundSubset, iter_bits
+from .subsets import Frozen, GroundSubset
 
 
 class PolytopeVertices(Frozen):
@@ -23,17 +23,12 @@ class PolytopeVertices(Frozen):
 
 
 def polytope_vertices(matroid: Matroid) -> PolytopeVertices:
-    """One 0/1 vertex per basis; dimension is the rational rank of the
-    differences against the first vertex, as sparse +1/-1 rows."""
+    """One 0/1 vertex per basis. For a valid basis family with c connected
+    components, loops and coloops included, the polytope has dimension n - c
+    (Feichtner and Sturmfels, Portugaliae Math. 2005, Prop. 2.4)."""
     n = matroid.n
-    masks = matroid.basis_masks
-    verts = tuple(tuple(b >> i & 1 for i in range(n)) for b in masks)
-    diffs = []
-    for b in masks[1:]:
-        row = dict.fromkeys(iter_bits(b & ~masks[0]), 1)
-        row.update(dict.fromkeys(iter_bits(masks[0] & ~b), -1))
-        diffs.append(row)
-    return PolytopeVertices(n, verts, rank_rows_exact(diffs))
+    verts = tuple(tuple(b >> i & 1 for i in range(n)) for b in matroid.basis_masks)
+    return PolytopeVertices(n, verts, n - len(_parts(matroid)))
 
 
 class ChowPresentation(Frozen):

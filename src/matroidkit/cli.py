@@ -30,9 +30,9 @@ if TYPE_CHECKING:
     from .graphs import Graph
     from .linalg import ExactMatrix
 
-# The most candidate bases (`uniform`, `linear`, `graphic`) or flats (`info`, `flats`, `chow`).
+# The most bases a constructor may enumerate, or flats `info`, `flats` and `chow` may list.
 MAX_ENUMERATED = 10**6
-# The largest matroid ground set and graph vertex count the loaders accept.
+# The largest matroid ground set and graph vertex count the loaders and constructors accept.
 MAX_GROUND = 4096
 
 # -- file I/O ------------------------------------------------------------------
@@ -67,8 +67,7 @@ def load_matroid(path: str) -> Matroid:
     bases = obj.get("bases")
     if not _is_int(n) or not isinstance(bases, list):
         raise ValueError("matroid-v1 needs integer 'n' and a list 'bases'")
-    if n > MAX_GROUND:
-        raise ValueError(f"n = {n} exceeds the limit of {MAX_GROUND} elements")
+    _refuse_large_ground(n)
     if not all(isinstance(b, list) and all(map(_is_int, b)) for b in bases):
         raise ValueError("every basis must be a list of integer indices")
     labels = obj.get("labels")
@@ -128,6 +127,7 @@ def load_matrix(path: str, field: int | None) -> ExactMatrix:
         raise ValueError("matrix-v1 needs 'rows', 'cols', and 'entries'")
     if len(entries) != rows or any(not isinstance(r, list) or len(r) != cols for r in entries):
         raise ValueError("entry grid does not match the declared shape")
+    _refuse_large_ground(cols)
 
     def convert(e):
         if _is_int(e):
@@ -164,6 +164,11 @@ def parse_indices(text: str) -> list[int]:
         return [int(part) for part in text.split(",")]
     except ValueError:
         raise ValueError(f"bad index list {text!r}; use comma-separated integers") from None
+
+
+def _refuse_large_ground(n: int) -> None:
+    if n > MAX_GROUND:
+        raise ValueError(f"n = {n} exceeds the limit of {MAX_GROUND} elements")
 
 
 def _refuse_large_enumeration(n: int, r: int) -> None:
@@ -402,6 +407,7 @@ def cmd_construct(args) -> Matroid:
     """`uniform`, `graphic`, `linear`, `named` and `direct-sum`: the matroid the command builds."""
     from . import construct
     if args.command == "uniform":
+        _refuse_large_ground(args.n)
         _refuse_large_enumeration(args.n, args.rank)
         return construct.uniform_matroid(args.rank, args.n)
     if args.command == "graphic":
@@ -412,7 +418,11 @@ def cmd_construct(args) -> Matroid:
         return construct.linear_matroid(matrix)
     if args.command == "named":
         return construct.specific_matroid(args.name)
-    return construct.direct_sum(load_matroid(args.a), load_matroid(args.b))
+    a, b = load_matroid(args.a), load_matroid(args.b)
+    _refuse_large_ground(a.n + b.n)
+    if len(a.basis_masks) * len(b.basis_masks) > MAX_ENUMERATED:
+        raise ValueError(f"the direct sum would have over {MAX_ENUMERATED} bases")
+    return construct.direct_sum(a, b)
 
 
 def cmd_components(args) -> None:

@@ -186,16 +186,12 @@ def direct_sum(left: Matroid, right: Matroid) -> Matroid:
     return Matroid._from_masks(left.n + right.n, masks, labels)
 
 
-def components(matroid: Matroid) -> list[Matroid]:
-    """Connected components, read off one basis b: each e outside b is joined
-    with its fundamental circuit C(e, b). The fundamental graph of any single
-    basis has the components of the matroid (Krogdahl, Discrete Math. 1977).
-
-    Loops and coloops end up as singleton components. Parts are returned as
-    restrictions, ordered by their minimum element, so a matroid assembled as
-    a direct sum of connected pieces is reproduced by summing the results.
-    """
-    from .transform import restriction
+def _parts(matroid: Matroid) -> list[int]:
+    """Masks of the connected components, ordered by their least element, read
+    off one basis b: each e outside b is joined with its fundamental circuit
+    C(e, b). The fundamental graph of any single basis has the components of
+    the matroid (Krogdahl, Discrete Math. 1977). Loops and coloops end up as
+    singleton parts."""
     n = matroid.n
     b = matroid.basis_masks[0]
     base_set = set(matroid.basis_masks)
@@ -206,5 +202,13 @@ def components(matroid: Matroid) -> list[Matroid]:
     parts: dict[str, int] = {}
     for e, label in enumerate(comp):
         parts[label] = parts.get(label, 0) | 1 << e
-    # each part is first met at its minimum element
-    return [restriction(matroid, GroundSubset(m, n)) for m in parts.values()]
+    # each part is first met at its least element
+    return list(parts.values())
+
+
+def components(matroid: Matroid) -> list[Matroid]:
+    """Connected components as restrictions, ordered by their least element,
+    so a matroid assembled as a direct sum of connected pieces is reproduced
+    by summing the results."""
+    from .transform import restriction
+    return [restriction(matroid, GroundSubset(m, matroid.n)) for m in _parts(matroid)]

@@ -107,8 +107,6 @@ class Matroid:
     def is_valid(self) -> bool:
         """Check the basis-exchange axiom over all ordered basis pairs."""
         base_set = set(self._masks)
-        if not base_set:
-            return False
         for b1 in self._masks:
             for b2 in self._masks:
                 if b1 == b2:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .subsets import Frozen, GroundSubset
 
@@ -60,16 +60,13 @@ class Cycle(Frozen):
 
 
 def graph_from_edges(v: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a simple graph, normalizing edge endpoints and dropping duplicates."""
+    """Build a simple graph, normalizing edge endpoints and dropping duplicates.
+    Graph checks the endpoints."""
     if v < 0:
         raise ValueError("vertex count must be nonnegative")
     out: list[tuple[int, int]] = []
     seen = set()
     for u, w in edges:
-        if not (0 <= u < v and 0 <= w < v):
-            raise ValueError(f"edge ({u}, {w}) has an endpoint outside [0, {v})")
-        if u == w:
-            raise ValueError(f"self-loop at vertex {u}")
         e = (u, w) if u < w else (w, u)
         if e not in seen:
             seen.add(e)
@@ -101,6 +98,32 @@ def generalized_petersen(n: int, k: int) -> Graph:
     return graph_from_edges(2 * n, edges)
 
 
+def _closed_walks(
+    adj: list[list[int]], anchor: int, alive: list[bool], limit: int
+) -> Iterator[tuple[int, ...]]:
+    """Closed walks of 3 to limit edges from anchor back to it through distinct
+    alive vertices above it, in depth-first order over the sorted neighbour
+    lists. Each cycle comes once per orientation, and the walks are yielded, so
+    a caller that keeps one orientation never holds both."""
+    path = [anchor]
+    on = [False] * len(adj)
+    # nbrs[k]: the untried neighbours of path[k]
+    nbrs = [iter(adj[anchor])]
+    while nbrs:
+        for w in nbrs[-1]:
+            if w == anchor:
+                if len(path) >= 3:
+                    yield (*path, anchor)
+            elif w > anchor and alive[w] and not on[w] and len(path) < limit:
+                on[w] = True
+                path.append(w)
+                nbrs.append(iter(adj[w]))
+                break
+        else:
+            nbrs.pop()
+            on[path.pop()] = False
+
+
 def closed_walks(graph: Graph, v: int, length: int) -> list[tuple[int, ...]]:
     """Non-self-intersecting closed walks of a given edge count anchored at v.
 
@@ -112,28 +135,8 @@ def closed_walks(graph: Graph, v: int, length: int) -> list[tuple[int, ...]]:
         raise ValueError(f"vertex {v} out of range")
     if length < 3:
         raise ValueError("closed walks need length at least 3")
-    adj = graph.adjacency()
-    adj_sets = [set(nbrs) for nbrs in adj]
-    walks: list[tuple[int, ...]] = []
-    path = [v]
-    on = {v}
-    # nbrs[k]: the untried neighbours of path[k]
-    nbrs = [iter(adj[v])]
-    while nbrs:
-        for w in nbrs[-1]:
-            if w > v and w not in on:
-                if len(path) + 1 == length:
-                    if v in adj_sets[w]:
-                        walks.append(tuple(path) + (w, v))
-                else:
-                    on.add(w)
-                    path.append(w)
-                    nbrs.append(iter(adj[w]))
-                    break
-        else:
-            nbrs.pop()
-            on.discard(path.pop())
-    return walks
+    walks = _closed_walks(graph.adjacency(), v, [True] * graph.v, length)
+    return [w for w in walks if len(w) == length + 1]
 
 
 def get_cycles(graph: Graph) -> list[Cycle]:
@@ -160,38 +163,16 @@ def get_cycles(graph: Graph) -> list[Cycle]:
                     stack.append(w)
 
     eindex = graph.edge_index()
-    sequences: list[tuple[int, ...]] = []
+    m = len(graph.edges)
+    cycles = []
     for anchor in range(graph.v):
         if not alive[anchor]:
             continue
-        path = [anchor]
-        on = [False] * graph.v
-        on[anchor] = True
-        # nbrs[k]: the untried neighbours of path[k]
-        nbrs = [iter(adj[anchor])]
-        while nbrs:
-            for w in nbrs[-1]:
-                if not alive[w] or w < anchor:
-                    continue
-                if w == anchor:
-                    if len(path) >= 3 and path[1] < path[-1]:
-                        sequences.append(tuple(path) + (anchor,))
-                elif not on[w]:
-                    on[w] = True
-                    path.append(w)
-                    nbrs.append(iter(adj[w]))
-                    break
-            else:
-                nbrs.pop()
-                on[path.pop()] = False
-
-    m = len(graph.edges)
-    cycles = []
-    for seq in sequences:
-        mask = 0
-        for u, w in zip(seq, seq[1:]):
-            mask |= 1 << eindex[(u, w) if u < w else (w, u)]
-        cycles.append(Cycle(GroundSubset(mask, m), seq))
+        for seq in _closed_walks(adj, anchor, alive, graph.v):
+            if seq[1] < seq[-2]:
+                # a cycle passes each of its edges once, so the sum is the union
+                mask = sum(1 << eindex[(u, w) if u < w else (w, u)] for u, w in zip(seq, seq[1:]))
+                cycles.append(Cycle(GroundSubset(mask, m), seq))
     cycles.sort(key=lambda c: (len(c.vertex_sequence), c.vertex_sequence))
     return cycles
 

@@ -7,6 +7,21 @@ from typing import Iterable
 from .core import Matroid
 
 
+def _power(base: str, exp: int) -> str:
+    """base^exp, with the exponent 1 left off and "" for exp = 0."""
+    return "" if exp == 0 else base + (f"^{exp}" if exp > 1 else "")
+
+
+def _signed_sum(terms: Iterable[tuple[int, str]]) -> str:
+    """Nonzero multiples c * monomial as a signed sum, "0" when there are none.
+    A coefficient of magnitude 1 is left off unless the monomial is empty."""
+    parts = []
+    for c, mono in terms:
+        sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
+        parts.append(sign + ("" if abs(c) == 1 and mono else str(abs(c))) + mono)
+    return " ".join(parts) or "0"
+
+
 class UnivarPoly:
     """Integer univariate polynomial; coefficients stored lowest degree first."""
 
@@ -54,27 +69,11 @@ class UnivarPoly:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __str__(self) -> str:
-        return self.render()
+    def render(self) -> str:
+        cs = self.coeffs
+        return _signed_sum((cs[i], _power("k", i)) for i in reversed(range(len(cs))) if cs[i])
 
-    def render(self, var: str = "k") -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                term = str(abs(c))
-            else:
-                mag = "" if abs(c) == 1 else str(abs(c))
-                term = f"{mag}{var}" + (f"^{i}" if i > 1 else "")
-            if not parts:
-                parts.append(("-" if c < 0 else "") + term)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + term)
-        return " ".join(parts)
+    __str__ = render
 
     def _divide_by_root(self, root: int) -> "UnivarPoly | None":
         """Exact synthetic division by (x - root); None if root is not a root."""
@@ -87,7 +86,7 @@ class UnivarPoly:
             return None
         return UnivarPoly(reversed(quotient))
 
-    def factored(self, var: str = "k") -> str:
+    def factored(self) -> str:
         """Display factored over the integer roots 0..degree (root-stripping).
         The zero roots are the low zero coefficients. A positive root divides
         the constant term of what remains (rational root theorem), and none is
@@ -109,12 +108,11 @@ class UnivarPoly:
                 mixed = min(rem.coeffs) < 0 < max(rem.coeffs)
         pieces = []
         if rem.degree >= 1:
-            pieces.append(f"({rem.render(var)})")
+            pieces.append(f"({rem.render()})")
         elif rem.coeffs and rem.coeffs[0] != 1:
             pieces.append(str(rem.coeffs[0]))
         for root, mult in roots:
-            base = var if root == 0 else f"({var} - {root})"
-            pieces.append(base + (f"^{mult}" if mult > 1 else ""))
+            pieces.append(_power("k" if root == 0 else f"(k - {root})", mult))
         return "".join(pieces) if pieces else "1"
 
 
@@ -171,28 +169,10 @@ class BivarPoly:
         return sum(c * x**i * y**j for (i, j), c in self._terms.items())
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
         ordered = sorted(self._terms.items(), key=lambda t: (-(t[0][0] + t[0][1]), -t[0][0]))
-        parts = []
-        for (i, j), c in ordered:
-            factors = []
-            if i:
-                factors.append("x" + (f"^{i}" if i > 1 else ""))
-            if j:
-                factors.append("y" + (f"^{j}" if j > 1 else ""))
-            body = "*".join(factors)
-            if not body:
-                term = str(abs(c))
-            elif abs(c) == 1:
-                term = body
-            else:
-                term = f"{abs(c)}{body}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + term)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + term)
-        return " ".join(parts)
+        return _signed_sum(
+            (c, "*".join(p for p in (_power("x", i), _power("y", j)) if p)) for (i, j), c in ordered
+        )
 
 
 def tutte_polynomial(matroid: Matroid) -> BivarPoly:

@@ -96,6 +96,18 @@ def brute_components(m: Matroid) -> list[int]:
     return parts
 
 
+def elimination_polytope_dim(m: Matroid) -> int:
+    """Affine dimension of the basis polytope: the rational rank of the
+    differences of the vertices against the first, as sparse +1/-1 rows."""
+    first = m.basis_masks[0]
+    diffs = []
+    for b in m.basis_masks[1:]:
+        row = dict.fromkeys(iter_bits(b & ~first), 1)
+        row.update(dict.fromkeys(iter_bits(first & ~b), -1))
+        diffs.append(row)
+    return rank_rows_exact(diffs)
+
+
 def brute_closure(m: Matroid, mask: int) -> int:
     r = brute_rank(m, mask)
     closed = mask

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -10,12 +14,19 @@ from matroidkit import (
     complete_graph,
     components,
     deletion,
+    direct_sum,
     graphic_matroid,
     linear_matroid,
     polytope_vertices,
     uniform_matroid,
 )
-from oracles import chain_chow_hilbert, fy_chow_hilbert, naive_chow_hilbert, random_matroid
+from oracles import (
+    chain_chow_hilbert,
+    elimination_polytope_dim,
+    fy_chow_hilbert,
+    naive_chow_hilbert,
+    random_matroid,
+)
 
 PRIME = 1073741789
 
@@ -46,6 +57,39 @@ def test_polytope_invariants(m5):
     # connected matroid on n elements: polytope dimension n - 1
     assert len(components(m5)) == 1
     assert data.dim == m5.n - 1
+
+
+def test_polytope_dimension_matches_elimination():
+    """n minus the number of components, against the rank of the vertex
+    differences, on seeded matroids and on direct sums with loops and coloops."""
+    rng = Random(61)
+    loop, coloop = uniform_matroid(0, 1), uniform_matroid(1, 1)
+    for i in range(300):
+        m = random_matroid(rng, max_n=7)
+        if i % 2:
+            pool = [loop, coloop, random_matroid(rng, max_n=3)]
+            for part in rng.choices(pool, k=rng.randint(1, 3)):
+                m = direct_sum(m, part) if rng.random() < 0.5 else direct_sum(part, m)
+        dim = polytope_vertices(m).dim
+        assert dim == elimination_polytope_dim(m) == m.n - len(components(m))
+
+
+def test_polytope_runs_no_elimination():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys\n"
+        "from matroidkit import direct_sum, polytope_vertices, uniform_matroid\n"
+        "m = direct_sum(uniform_matroid(2, 4), uniform_matroid(0, 1))\n"
+        "print(polytope_vertices(m).dim, 'matroidkit.linalg' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "3 False\n"
 
 
 def test_chow_presentation_u23():

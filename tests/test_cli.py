@@ -395,6 +395,60 @@ def test_ground_set_limit_is_inclusive(tmp_path):
     assert load_graph(str(path)).v == MAX_GROUND
 
 
+def _matroid_doc(n: int, bases: list[list[int]]) -> str:
+    return json.dumps({"format": "matroid-v1", "n": n, "bases": bases})
+
+
+def test_constructors_refuse_ground_sets_the_loaders_refuse(capsys, tmp_path):
+    """`uniform`, `linear` and `direct-sum` would otherwise print a matroid
+    that `info` refuses to read back."""
+    start = time.perf_counter()
+    for n in (MAX_GROUND + 1, 5000, 10**6):
+        code, out, err = invoke(capsys, "uniform", "--rank", "1", "--n", str(n))
+        assert code == 1 and out == "" and err.startswith("error:") and str(MAX_GROUND) in err
+    wide = tmp_path / "wide.json"
+    doc = {"format": "matrix-v1", "rows": 1, "cols": 5000, "entries": [["1"] * 5000]}
+    wide.write_text(json.dumps(doc))
+    for field in ("q", "p:2"):
+        code, out, err = invoke(capsys, "linear", "--field", field, str(wide))
+        assert code == 1 and out == "" and err.startswith("error:") and str(MAX_GROUND) in err
+    half = tmp_path / "half.json"
+    half.write_text(_matroid_doc(MAX_GROUND // 2 + 1, [[0]]))
+    code, out, err = invoke(capsys, "direct-sum", str(half), str(half))
+    assert code == 1 and out == "" and err.startswith("error:") and str(MAX_GROUND) in err
+    assert time.perf_counter() - start < 5
+
+
+def test_direct_sum_refuses_too_many_bases(capsys, tmp_path):
+    """U(1, 1001) + U(1, 1000) has 1,001,000 bases, over the 10^6 limit,
+    from two documents of a few kilobytes."""
+    paths = []
+    for n in (1001, 1000):
+        paths.append(tmp_path / f"u1_{n}.json")
+        paths[-1].write_text(_matroid_doc(n, [[e] for e in range(n)]))
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "direct-sum", *map(str, paths))
+    assert code == 1 and out == "" and err.startswith("error:") and str(cli.MAX_ENUMERATED) in err
+    assert "Traceback" not in err
+    assert time.perf_counter() - start < 5
+
+
+def test_constructor_limits_are_inclusive(capsys, tmp_path, monkeypatch):
+    code, out, _ = invoke(capsys, "uniform", "--rank", "0", "--n", str(MAX_GROUND))
+    assert code == 0 and json.loads(out)["n"] == MAX_GROUND
+    half = tmp_path / "half.json"
+    half.write_text(_matroid_doc(MAX_GROUND // 2, [[0]]))
+    code, out, _ = invoke(capsys, "direct-sum", str(half), str(half))
+    assert code == 0 and json.loads(out)["n"] == MAX_GROUND
+    monkeypatch.setattr(cli, "MAX_ENUMERATED", 16)
+    u14, u15 = tmp_path / "u14.json", tmp_path / "u15.json"
+    u14.write_text(_matroid_doc(4, [[e] for e in range(4)]))
+    u15.write_text(_matroid_doc(5, [[e] for e in range(5)]))
+    code, out, _ = invoke(capsys, "direct-sum", str(u14), str(u14))
+    assert code == 0 and len(json.loads(out)["bases"]) == 16
+    assert invoke(capsys, "direct-sum", str(u14), str(u15))[0] == 1
+
+
 def test_uniform_and_named(capsys):
     code, out, _ = invoke(capsys, "uniform", "--rank", "2", "--n", "4")
     assert len(json.loads(out)["bases"]) == 6

@@ -62,6 +62,34 @@ def test_closed_walks_k4():
     assert all(w[0] == 0 and w[-1] == 0 and len(w) == 4 for w in walks)
 
 
+def test_closed_walks_order():
+    """Depth first over the sorted neighbour lists: both orientations of each
+    cycle, in the order the search closes them."""
+    k4 = complete_graph(4)
+    assert closed_walks(k4, 0, 3) == [
+        (0, 1, 2, 0), (0, 1, 3, 0), (0, 2, 1, 0), (0, 2, 3, 0), (0, 3, 1, 0), (0, 3, 2, 0),
+    ]
+    assert closed_walks(k4, 0, 4) == [
+        (0, 1, 2, 3, 0), (0, 1, 3, 2, 0), (0, 2, 1, 3, 0),
+        (0, 2, 3, 1, 0), (0, 3, 1, 2, 0), (0, 3, 2, 1, 0),
+    ]
+    assert closed_walks(k4, 1, 3) == [(1, 2, 3, 1), (1, 3, 2, 1)]
+    assert closed_walks(k4, 1, 4) == []
+    gp = generalized_petersen(5, 2)
+    assert closed_walks(gp, 0, 5) == [
+        (0, 1, 2, 3, 4, 0), (0, 1, 2, 7, 5, 0), (0, 1, 6, 8, 5, 0), (0, 1, 6, 9, 4, 0),
+        (0, 4, 3, 2, 1, 0), (0, 4, 3, 8, 5, 0), (0, 4, 9, 6, 1, 0), (0, 4, 9, 7, 5, 0),
+        (0, 5, 7, 2, 1, 0), (0, 5, 7, 9, 4, 0), (0, 5, 8, 3, 4, 0), (0, 5, 8, 6, 1, 0),
+    ]
+    assert closed_walks(gp, 0, 6) == [
+        (0, 1, 2, 3, 8, 5, 0), (0, 1, 2, 7, 9, 4, 0), (0, 1, 6, 8, 3, 4, 0), (0, 1, 6, 9, 7, 5, 0),
+        (0, 4, 3, 2, 7, 5, 0), (0, 4, 3, 8, 6, 1, 0), (0, 4, 9, 6, 8, 5, 0), (0, 4, 9, 7, 2, 1, 0),
+        (0, 5, 7, 2, 3, 4, 0), (0, 5, 7, 9, 6, 1, 0), (0, 5, 8, 3, 2, 1, 0), (0, 5, 8, 6, 9, 4, 0),
+    ]
+    assert closed_walks(gp, 0, 7) == []
+    assert closed_walks(gp, 5, 5) == [(5, 7, 9, 6, 8, 5), (5, 8, 6, 9, 7, 5)]
+
+
 def test_closed_walks_errors():
     with pytest.raises(ValueError):
         closed_walks(triangle(), 5, 3)
