@@ -188,6 +188,19 @@ def _refuse_many_flats(m: Matroid) -> None:
         raise ValueError(f"rank {m.rank} gives at least 2^{m.rank} flats, over {MAX_ENUMERATED}")
 
 
+def _refuse_large_minor_search(host: Matroid, pattern: Matroid) -> None:
+    """Refuse more than MAX_ENUMERATED contract/delete pairs: C(n, c) contract
+    sets of size c = r(host) - r(pattern), each with C(n - c, d) delete sets of
+    size d = n - c - n(pattern)."""
+    c = host.rank - pattern.rank
+    d = host.n - c - pattern.n
+    if c >= 0 and d >= 0 and math.comb(host.n, c) * math.comb(host.n - c, d) > MAX_ENUMERATED:
+        raise ValueError(
+            f"C({host.n}, {c}) * C({host.n - c}, {d}) contract/delete pairs exceed"
+            f" the limit of {MAX_ENUMERATED}"
+        )
+
+
 def _load_small_graph(path: str) -> Graph:
     """A graph whose spanning forests are few enough to enumerate."""
     from .graphs import component_count
@@ -284,6 +297,8 @@ def cmd_search(args) -> None:
     """`isomorphic` and `has-minor`: "true" and the witness as JSON, or "false"."""
     from .search import has_minor, isomorphism
     a, b = load_matroid(args.a), load_matroid(args.b)
+    if args.command == "has-minor":
+        _refuse_large_minor_search(a, b)
     witness = (isomorphism if args.command == "isomorphic" else has_minor)(a, b)
     print("true" if witness is not None else "false")
     if witness is None:
@@ -387,6 +402,9 @@ def cmd_chow(args) -> None:
     if args.degree is not None:
         print(chow_hilbert(m, args.degree))
         return
+    flats = sum(len(level) for level in m.flats()[1:-1])
+    if flats * (flats - 1) // 2 > MAX_ENUMERATED:  # the quadrics compare every pair
+        raise ValueError(f"{flats} proper flats give over {MAX_ENUMERATED} pairs to compare")
     pres = chow_presentation(m)
     if args.pretty:
         print(f"variables: {len(pres.flats)}")

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .core import Matroid
-from .subsets import Frozen, GroundSubset, iter_bits, mask_from_indices
+from .subsets import Frozen, GroundSubset, iter_bits
 
 
 class IsoWitness(Frozen):
@@ -38,10 +38,11 @@ def isomorphism(source: Matroid, target: Matroid) -> IsoWitness | None:
     Size, rank, basis count and the sorted per-element basis degrees must
     agree. The search is then pruned backtracking: candidates must match
     per-element basis degrees, and partial maps must preserve pairwise basis
-    co-occurrence counts. A complete assignment is accepted only if it maps
-    the basis set onto the target's basis set exactly. The search runs depth
-    first on its own stack and tries the candidates of each element in
-    increasing order.
+    co-occurrence counts. Both come from one table per matroid, whose
+    diagonal entry for an element is its degree. A complete assignment is
+    accepted only if it maps the basis set onto the target's basis set
+    exactly. The search runs depth first on its own stack and tries the
+    candidates of each element in increasing order.
     """
     if (
         source.n != target.n
@@ -53,28 +54,23 @@ def isomorphism(source: Matroid, target: Matroid) -> IsoWitness | None:
     if source == target:
         return IsoWitness(tuple(range(n)))
 
-    def degrees(m: Matroid) -> list[int]:
-        deg = [0] * n
-        for b in m.basis_masks:
-            for e in iter_bits(b):
-                deg[e] += 1
-        return deg
-
     def pair_counts(m: Matroid) -> list[dict[int, int]]:
-        # pc[a][c]: bases holding both a and c, kept only for pairs that share one
+        # pc[a][c]: bases holding both a and c, kept only for pairs that share
+        # one; pc[a][a] is the degree of a
         pc: list[dict[int, int]] = [{} for _ in range(n)]
         for b in m.basis_masks:
             elems = list(iter_bits(b))
-            for i, a in enumerate(elems):
-                for c in elems[i + 1 :]:
-                    pc[a][c] = pc[a].get(c, 0) + 1
-                    pc[c][a] = pc[c].get(a, 0) + 1
+            for a in elems:
+                row = pc[a]
+                for c in elems:
+                    row[c] = row.get(c, 0) + 1
         return pc
 
-    deg_s, deg_t = degrees(source), degrees(target)
+    pc_s, pc_t = pair_counts(source), pair_counts(target)
+    deg_s = [pc_s[a].get(a, 0) for a in range(n)]
+    deg_t = [pc_t[a].get(a, 0) for a in range(n)]
     if sorted(deg_s) != sorted(deg_t):
         return None
-    pc_s, pc_t = pair_counts(source), pair_counts(target)
     by_degree: dict[int, list[int]] = {}
     for t in range(n):
         by_degree.setdefault(deg_t[t], []).append(t)
@@ -123,62 +119,51 @@ def has_minor(host: Matroid, pattern: Matroid) -> MinorWitness | None:
     the pattern's size. Both are enumerated colexicographically, so the
     witness returned is the first pair in that order and is deterministic.
 
-    No candidate minor is built until bit screens pass. For each contraction
-    host / I, col[e] is the bitmask over basis positions of the bases that
-    contain e, so `alive = every & ~OR(col[e] for e in D)` marks the bases
-    that avoid a delete set D. D survives only if alive holds the pattern's
-    basis count, which also makes D coindependent, so alive is exactly the
-    bases of (host / I) \\ D. Among the kept elements, col[e] & alive == 0
-    marks a loop and col[e] & alive == alive a coloop; both counts must equal
-    the pattern's. Only survivors are built with `deletion` and handed to
-    `isomorphism`, which compares per-element basis degrees before it searches.
+    Everything is screened on one table, the host's basis columns: col[e] is
+    the bitmask over basis positions of the bases that contain e. The AND of
+    the columns of I, `every`, marks the bases that contain I; it is zero
+    exactly when I is dependent, and otherwise its bases, less I, are the
+    bases of host / I. For a delete set D, `alive = every & ~OR(col[e] for e
+    in D)` marks the bases that also avoid D. D survives only if alive holds
+    the pattern's basis count, which also makes D coindependent, so alive is
+    exactly the bases of (host / I) \\ D, and col[e] & alive counts the
+    bases of that minor holding e. Sorted over the elements of host / I,
+    those counts are the minor's per-element basis degrees plus |D| zeros,
+    and must equal the pattern's. Only survivors are built, with `minor`, and
+    handed to `isomorphism`.
     """
-    from .transform import contraction, deletion
+    from .transform import minor
     if pattern.rank > host.rank or pattern.n > host.n:
         return None
     csize = host.rank - pattern.rank
     dsize = host.n - csize - pattern.n
     if dsize < 0:
         return None
-    pat_loops = len(pattern.loops())
-    pat_coloops = len(pattern.coloops())
     pat_bases = len(pattern.basis_masks)
-    inner_n = host.n - csize
-    delete_sets = []
-    for delete_set in _colex_subsets(inner_n, dsize):
-        dmask = mask_from_indices(delete_set, inner_n)
-        kept = tuple(e for e in range(inner_n) if not dmask >> e & 1)
-        delete_sets.append((delete_set, dmask, kept))
+    pat_degrees = sorted([0] * dsize + [c.bit_count() for c in pattern._columns()])
+    delete_sets = _colex_subsets(host.n - csize, dsize)
+    col = host._columns()
 
     for contract_set in _colex_subsets(host.n, csize):
-        inner = contraction(host, contract_set)
-        if inner.rank != pattern.rank:
+        every = (1 << len(host.basis_masks)) - 1
+        for e in contract_set:
+            every &= col[e]
+        if not every:
             continue
-        col = inner._columns()
-        every = (1 << len(inner.basis_masks)) - 1
-        for delete_set, dmask, kept in delete_sets:
+        remaining = [e for e in range(host.n) if e not in contract_set]
+        inner_col = [col[e] & every for e in remaining]  # host / I, in host basis positions
+        for delete_set in delete_sets:
             dead = 0
-            for e in delete_set:
-                dead |= col[e]
+            for j in delete_set:
+                dead |= inner_col[j]
             alive = every & ~dead
             if alive.bit_count() != pat_bases:
                 continue
-            loops = coloops = 0
-            for e in kept:
-                hit = col[e] & alive
-                if hit == 0:
-                    loops += 1
-                elif hit == alive:
-                    coloops += 1
-            if loops != pat_loops or coloops != pat_coloops:
+            if sorted((c & alive).bit_count() for c in inner_col) != pat_degrees:
                 continue
-            candidate = deletion(inner, GroundSubset(dmask, inner_n))
-            iso = isomorphism(candidate, pattern)
+            contract = GroundSubset.of(contract_set, host.n)
+            delete = GroundSubset.of((remaining[j] for j in delete_set), host.n)
+            iso = isomorphism(minor(host, contract, delete), pattern)
             if iso is not None:
-                remaining = [e for e in range(host.n) if e not in contract_set]
-                return MinorWitness(
-                    GroundSubset.of(contract_set, host.n),
-                    GroundSubset.of((remaining[j] for j in delete_set), host.n),
-                    iso,
-                )
+                return MinorWitness(contract, delete, iso)
     return None

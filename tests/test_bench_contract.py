@@ -70,6 +70,9 @@ def test_traced_names_resolve_and_elimination_spans_fire():
         m4 = matroidkit.graphic_matroid(matroidkit.complete_graph(4))
         assert matroidkit.has_minor(m4, matroidkit.uniform_matroid(1, 2)) is not None
         assert matroidkit.minor(m4, [0], [1]).n == 4
+        # minor search reads contractions off the host's basis columns, so the
+        # contraction span needs its own call
+        assert matroidkit.contraction(m4, [0]).n == 5
     finally:
         uninstall()
 

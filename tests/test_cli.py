@@ -383,8 +383,63 @@ def test_flat_limit_is_inclusive(capsys, tmp_path, monkeypatch):
     path = tmp_path / "free.json"
     for r, code in ((4, 0), (5, 1)):
         path.write_text(json.dumps({"format": "matroid-v1", "n": r, "bases": [list(range(r))]}))
-        for argv in (["info"], ["flats"], ["chow"], ["chow", "--degree", "1"]):
+        for argv in (["info"], ["flats"], ["chow", "--degree", "1"]):
             assert invoke(capsys, *argv, str(path))[0] == code
+
+
+def _free_file(tmp_path, r: int) -> str:
+    """A one-basis document of rank r: every subset is a flat."""
+    path = tmp_path / f"free{r}.json"
+    path.write_text(json.dumps({"format": "matroid-v1", "n": r, "bases": [list(range(r))]}))
+    return str(path)
+
+
+def test_chow_presentation_refuses_too_many_flat_pairs(capsys, tmp_path):
+    """The quadrics compare every pair of the 2^r - 2 proper nonempty flats:
+    rank 11 has 2,046 of them and over 10^6 pairs, rank 10 has 1,022."""
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "chow", _free_file(tmp_path, 11))
+    assert code == 1 and out == "" and err.startswith("error:") and "2046" in err
+    assert "Traceback" not in err
+    assert time.perf_counter() - start < 5
+    code, out, _ = invoke(capsys, "chow", _free_file(tmp_path, 10))
+    assert code == 0 and len(json.loads(out)["variables"]) == 1022
+
+
+def test_chow_presentation_limit_is_inclusive(capsys, tmp_path, monkeypatch):
+    path = _free_file(tmp_path, 4)  # 14 proper flats, 91 pairs
+    for limit, code in ((91, 0), (90, 1)):
+        monkeypatch.setattr(cli, "MAX_ENUMERATED", limit)
+        assert invoke(capsys, "chow", path)[0] == code
+
+
+def test_has_minor_refuses_oversized_searches_up_front(capsys, tmp_path):
+    """Rank 12 on 24 elements against U(1,1): C(24, 11) contract sets, each
+    with C(13, 12) delete sets, over 10^6 pairs."""
+    host = tmp_path / "host.json"
+    host.write_text(_matroid_doc(24, [list(range(12))]))
+    point = tmp_path / "point.json"
+    point.write_text(_matroid_doc(1, [[0]]))
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "has-minor", str(host), str(point))
+    assert code == 1 and out == "" and err.startswith("error:") and "C(24, 11)" in err
+    assert "Traceback" not in err
+    assert time.perf_counter() - start < 1
+
+
+def test_has_minor_answers_at_the_search_limit(capsys, tmp_path, monkeypatch):
+    """M(K6) against U(2,4) is C(15, 3) * C(12, 8) = 225,225 pairs, and M(K6)
+    is binary, so it has no U(2,4) minor. The limit is inclusive."""
+    k6 = {"format": "graph-v1", "v": 6, "edges": [[u, w] for u in range(6) for w in range(u + 1, 6)]}
+    k6_path = tmp_path / "k6.json"
+    k6_path.write_text(json.dumps(k6))
+    m6_path, u24_path = tmp_path / "m6.json", tmp_path / "u24.json"
+    m6_path.write_text(invoke(capsys, "graphic", str(k6_path))[1])
+    u24_path.write_text(invoke(capsys, "uniform", "--rank", "2", "--n", "4")[1])
+    monkeypatch.setattr(cli, "MAX_ENUMERATED", 225_225)
+    assert invoke(capsys, "has-minor", str(m6_path), str(u24_path)) == (0, "false\n", "")
+    monkeypatch.setattr(cli, "MAX_ENUMERATED", 225_224)
+    assert invoke(capsys, "has-minor", str(m6_path), str(u24_path))[0] == 1
 
 
 def test_ground_set_limit_is_inclusive(tmp_path):
