@@ -30,8 +30,12 @@ if TYPE_CHECKING:
     from .graphs import Graph
     from .linalg import ExactMatrix
 
-# The most bases a constructor may enumerate, or flats `info`, `flats` and `chow` may list.
+# The most bases a constructor may enumerate, or flat pairs `chow` may compare.
 MAX_ENUMERATED = 10**6
+# The highest rank whose flats `info`, `flats` and `chow` may list. A one-basis
+# document of rank r has 2^r flats: `flats` lists them in about 5 s at rank 18
+# and 9-10 s at rank 19 (2-core x86, Python 3.11), against a 10 s budget.
+MAX_FLATS_RANK = 18
 # The largest matroid ground set and graph vertex count the loaders and constructors accept.
 MAX_GROUND = 4096
 
@@ -183,9 +187,10 @@ def _refuse_large_enumeration(n: int, r: int) -> None:
 
 
 def _refuse_many_flats(m: Matroid) -> None:
-    """Refuse 2^r > MAX_ENUMERATED: the closures of the subsets of one basis are distinct flats."""
-    if 1 << m.rank > MAX_ENUMERATED:
-        raise ValueError(f"rank {m.rank} gives at least 2^{m.rank} flats, over {MAX_ENUMERATED}")
+    """Refuse rank over MAX_FLATS_RANK: the closures of the subsets of one
+    basis are distinct flats, so rank r gives at least 2^r of them."""
+    if m.rank > MAX_FLATS_RANK:
+        raise ValueError(f"rank {m.rank} gives at least 2^{m.rank} flats (limit: rank {MAX_FLATS_RANK})")
 
 
 def _refuse_large_minor_search(host: Matroid, pattern: Matroid) -> None:
@@ -399,12 +404,13 @@ def cmd_chow(args) -> None:
     m = load_matroid(args.file)
     if args.degree is None or 0 < args.degree < m.rank - 1:
         _refuse_many_flats(m)
+        flats = sum(len(level) for level in m.flats()[1:-1])
+        # the quadrics, and the chain counts of the Hilbert function, compare every pair
+        if flats * (flats - 1) // 2 > MAX_ENUMERATED:
+            raise ValueError(f"{flats} proper flats give over {MAX_ENUMERATED} pairs to compare")
     if args.degree is not None:
         print(chow_hilbert(m, args.degree))
         return
-    flats = sum(len(level) for level in m.flats()[1:-1])
-    if flats * (flats - 1) // 2 > MAX_ENUMERATED:  # the quadrics compare every pair
-        raise ValueError(f"{flats} proper flats give over {MAX_ENUMERATED} pairs to compare")
     pres = chow_presentation(m)
     if args.pretty:
         print(f"variables: {len(pres.flats)}")

@@ -218,18 +218,29 @@ class Matroid:
 
     def flats(self) -> tuple[tuple[GroundSubset, ...], ...]:
         """Flats grouped by rank, built level-by-level from the closure of the
-        empty set: each rank-(k+1) flat is closure(F + {x}) for some rank-k
-        flat F and x outside F, so the sweep is output-sensitive."""
+        empty set: each rank-(k+1) flat is a cover cl(F + x) of a rank-k flat
+        F. One `_meeting(F)` sweep gives every cover of F: for x != y outside
+        F, r(F + x + y) = r(F) + 2 exactly when a basis B meeting F in r(F)
+        elements holds both (Oxley §1.4), so cl(F + x) is F + x plus what
+        lies outside union[x], the OR of those B - F that hold x. The covers
+        partition E - F, so each one's elements are skipped once found."""
         if self._flats is None:
             full = self._full()
-            levels = []
             current = {self._closure_mask(0)}
-            levels.append(self._sorted_level(current))
+            levels = [self._sorted_level(current)]
             for _ in range(self._rank):
                 nxt = set()
                 for f in current:
-                    for x in iter_bits(full & ~f):
-                        nxt.add(self._closure_mask(f | (1 << x)))
+                    union = [0] * self.n  # stays 0 only on an invalid family
+                    for out in {b & ~f for b in self._meeting(f)}:
+                        for x in iter_bits(out):
+                            union[x] |= out
+                    rest = full & ~f
+                    while rest:
+                        low = rest & -rest
+                        cover = f | low | full & ~union[low.bit_length() - 1]
+                        nxt.add(cover)
+                        rest &= ~cover
                 current = nxt
                 levels.append(self._sorted_level(current))
             self._flats = tuple(levels)

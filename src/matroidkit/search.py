@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from typing import Iterator
 
 from .core import Matroid
 from .subsets import Frozen, GroundSubset, iter_bits
@@ -106,8 +106,18 @@ def isomorphism(source: Matroid, target: Matroid) -> IsoWitness | None:
     return None
 
 
-def _colex_subsets(pool: int, size: int) -> list[tuple[int, ...]]:
-    return sorted(combinations(range(pool), size), key=lambda c: c[::-1])
+def _colex_subsets(pool: int, size: int) -> Iterator[tuple[int, ...]]:
+    """The size-subsets of range(pool) in colex order, one at a time: as
+    bitmasks that is increasing order, stepped by Gosper's hack."""
+    if size == 0:
+        yield ()
+        return
+    mask, stop = (1 << size) - 1, 1 << pool
+    while mask < stop:
+        yield tuple(iter_bits(mask))
+        low = mask & -mask
+        ripple = mask + low
+        mask = ripple | ((mask ^ ripple) >> 2) // low
 
 
 def has_minor(host: Matroid, pattern: Matroid) -> MinorWitness | None:
@@ -141,7 +151,7 @@ def has_minor(host: Matroid, pattern: Matroid) -> MinorWitness | None:
         return None
     pat_bases = len(pattern.basis_masks)
     pat_degrees = sorted([0] * dsize + [c.bit_count() for c in pattern._columns()])
-    delete_sets = _colex_subsets(host.n - csize, dsize)
+    delete_sets = list(_colex_subsets(host.n - csize, dsize))
     col = host._columns()
 
     for contract_set in _colex_subsets(host.n, csize):

@@ -138,6 +138,19 @@ def brute_flats_by_rank(m: Matroid) -> list[set[int]]:
     return levels
 
 
+def closure_flats_by_level(m: Matroid) -> list[list[int]]:
+    """Flats by rank as masks in element order, each level the closures
+    cl(F + x) over every flat F of the level below and every x outside F:
+    one full closure sweep per pair, with no cover rule and no skipping."""
+    full = (1 << m.n) - 1
+    current = {m._closure_mask(0)}
+    levels = [current]
+    for _ in range(m.rank):
+        current = {m._closure_mask(f | 1 << x) for f in current for x in iter_bits(full & ~f)}
+        levels.append(current)
+    return [sorted(level, key=lambda f: tuple(iter_bits(f))) for level in levels]
+
+
 # -- graphs ----------------------------------------------------------------------
 
 
@@ -541,6 +554,19 @@ def random_graph(rng: Random, max_v: int = 5) -> Graph:
     v = rng.randint(2, max_v)
     edges = [e for e in combinations(range(v), 2) if rng.random() < 0.6]
     return graph_from_edges(v, edges)
+
+
+def invalid_families(seed: int, count: int, max_n: int = 8) -> list[Matroid]:
+    """count seeded equicardinal basis families that fail `is_valid()`."""
+    rng = Random(seed)
+    out: list[Matroid] = []
+    while len(out) < count:
+        n = rng.randint(2, max_n)
+        pool = list(combinations(range(n), rng.randint(1, n - 1)))
+        m = Matroid(n, rng.sample(pool, rng.randint(2, min(len(pool), 12))))
+        if not m.is_valid():
+            out.append(m)
+    return out
 
 
 def random_matroid(rng: Random, max_n: int = 8) -> Matroid:

@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from matroidkit import cli
 from matroidkit.cli import MAX_GROUND, dump_matroid, load_graph, load_matroid, run
+from oracles import invalid_families
 
 
 @pytest.fixture()
@@ -379,7 +381,7 @@ def test_high_rank_queries_without_flats_still_answer(capsys, free30_file):
 
 
 def test_flat_limit_is_inclusive(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "MAX_ENUMERATED", 16)
+    monkeypatch.setattr(cli, "MAX_FLATS_RANK", 4)
     path = tmp_path / "free.json"
     for r, code in ((4, 0), (5, 1)):
         path.write_text(json.dumps({"format": "matroid-v1", "n": r, "bases": [list(range(r))]}))
@@ -392,6 +394,41 @@ def _free_file(tmp_path, r: int) -> str:
     path = tmp_path / f"free{r}.json"
     path.write_text(json.dumps({"format": "matroid-v1", "n": r, "bases": [list(range(r))]}))
     return str(path)
+
+
+def test_flat_rank_limit_in_a_fresh_process(tmp_path):
+    """At MAX_FLATS_RANK `info` lists all 2^r flats within the 10 s budget;
+    one rank more is refused at once."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    r = cli.MAX_FLATS_RANK
+    for rank, code in ((r, 0), (r + 1, 1)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "matroidkit.cli", "info", _free_file(tmp_path, rank)],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == code and "Traceback" not in proc.stderr
+        if code == 0:
+            assert json.loads(proc.stdout)["fvector"] == [math.comb(r, k) for k in range(r + 1)]
+        else:
+            assert proc.stdout == "" and proc.stderr.startswith("error:") and f"2^{r + 1}" in proc.stderr
+
+
+def test_chow_hilbert_refuses_too_many_flat_pairs(capsys, tmp_path):
+    """The chain count compares flats pairwise too: rank 11 is refused like
+    the presentation, and rank 10 answers."""
+    code, out, err = invoke(capsys, "chow", "--degree", "1", _free_file(tmp_path, 11))
+    assert code == 1 and out == "" and err.startswith("error:") and "2046" in err
+    assert invoke(capsys, "chow", "--degree", "1", _free_file(tmp_path, 10)) == (0, "1013\n", "")
+
+
+def test_info_on_invalid_families_exits_cleanly(capsys, tmp_path):
+    """`run` lets anything but ValueError and OSError escape, so each call
+    either answers or exits 1 with an `error:` line, never a traceback."""
+    path = tmp_path / "invalid.json"
+    for m in invalid_families(89, 300):
+        path.write_text(_matroid_doc(m.n, [list(b.indices()) for b in m.bases]))
+        code, out, err = invoke(capsys, "info", str(path))
+        assert (code, err) == (0, "") and json.loads(out)["n"] == m.n or code == 1 and err.startswith("error:")
 
 
 def test_chow_presentation_refuses_too_many_flat_pairs(capsys, tmp_path):

@@ -1,10 +1,13 @@
+import importlib
 import time
 from itertools import combinations
+from math import comb
+from pathlib import Path
 from random import Random
 
 import pytest
 
-from matroidkit import GroundSubset, Matroid, dual, uniform_matroid
+from matroidkit import GroundSubset, Matroid, complete_graph, dual, graphic_matroid, uniform_matroid
 from matroidkit.subsets import canon_key
 from oracles import (
     brute_circuits,
@@ -12,9 +15,13 @@ from oracles import (
     brute_flats_by_rank,
     brute_is_valid,
     brute_rank,
+    closure_flats_by_level,
+    invalid_families,
     is_independent,
     random_matroid,
 )
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def indices(subsets):
@@ -241,6 +248,49 @@ def test_flats_match_brute_force(running_example, u24):
         expected = brute_flats_by_rank(m)
         got = m.flats()
         assert [{f.bits for f in level} for level in got] == expected
+
+
+def levels_of(m: Matroid) -> list[list[int]]:
+    return [[f.bits for f in level] for level in m.flats()]
+
+
+def test_flats_match_the_closure_oracle_level_by_level():
+    """Same flats in the same order as one closure sweep per (flat, element)."""
+    for m in [graphic_matroid(complete_graph(6)), uniform_matroid(5, 10)] + seeded_matroids(61):
+        assert levels_of(m) == closure_flats_by_level(m)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_flats_match_the_closure_oracle_on_the_core_queries_pool(monkeypatch, seed):
+    """The benchmark's seeded pool, up to 12 elements: the two cactus graphs
+    (n 25 and 28) have too many flats for the oracle, and the workload lists
+    flats only up to 10 elements."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    plan = importlib.import_module("inprocess").core_setup(seed)
+    pool = [Matroid(it.n, it.bases) for it in plan.items.values() if it.n <= 12]
+    assert len(pool) >= 15
+    for m in pool:
+        assert levels_of(m) == closure_flats_by_level(m)
+
+
+def test_fvector_of_mk7_is_a_stirling_row():
+    """The flats of M(K_n) are the set partitions of the n vertices, so the
+    f-vector of M(K7) is the row S(7, 7 - k) of Stirling numbers."""
+    m = graphic_matroid(complete_graph(7))
+    start = time.perf_counter()
+    assert m.fvector() == [1, 21, 140, 350, 301, 63, 1]
+    assert time.perf_counter() - start < 5
+
+
+def test_fvector_of_u612_is_binomial():
+    assert uniform_matroid(6, 12).fvector() == [comb(12, k) for k in range(6)] + [1]
+
+
+def test_flats_answer_on_invalid_families():
+    """An invalid family has no cover rule to follow, but listing its
+    "flats" must still return, never raise."""
+    for m in invalid_families(83, 300):
+        assert len(m.flats()) == m.rank + 1
 
 
 def test_fvector(running_example, u24):

@@ -1,5 +1,7 @@
+import time
 from collections import defaultdict
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 from matroidkit import (
@@ -15,7 +17,7 @@ from matroidkit import (
     specific_matroid,
     uniform_matroid,
 )
-from matroidkit.search import apply_permutation
+from matroidkit.search import _colex_subsets, apply_permutation
 from matroidkit.subsets import iter_bits
 from oracles import (
     brute_isomorphic,
@@ -206,3 +208,20 @@ def test_has_minor_k6():
     w = has_minor(m6, m4)
     assert w is not None
     verify_iso(minor(m6, w.contract, w.delete), m4, w.iso)
+
+
+def test_colex_subsets_are_sorted_by_largest_element_first():
+    for pool in range(8):
+        for size in range(pool + 2):
+            want = sorted(combinations(range(pool), size), key=lambda c: c[::-1])
+            assert list(_colex_subsets(pool, size)) == want
+
+
+def test_has_minor_tries_contract_sets_before_listing_them_all():
+    """The first contract set of a one-basis host holds the witness, so the
+    C(20, 9) = 167,960 contract sets are never listed."""
+    host = Matroid(20, [range(10)])
+    start = time.perf_counter()
+    w = has_minor(host, uniform_matroid(1, 1))
+    assert time.perf_counter() - start < 0.1
+    assert w.contract.indices() == tuple(range(9)) and w.delete.indices() == tuple(range(10, 20))
