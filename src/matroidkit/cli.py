@@ -30,7 +30,8 @@ if TYPE_CHECKING:
     from .graphs import Graph
     from .linalg import ExactMatrix
 
-# The most bases a constructor may enumerate, or flat pairs `chow` may compare.
+# The most bases a constructor may enumerate, flat pairs `chow` may compare, or
+# contract/delete pairs `has-minor` may try.
 MAX_ENUMERATED = 10**6
 # The highest rank whose flats `info`, `flats` and `chow` may list. A one-basis
 # document of rank r has 2^r flats: `flats` lists them in about 5 s at rank 18
@@ -71,7 +72,7 @@ def load_matroid(path: str) -> Matroid:
     bases = obj.get("bases")
     if not _is_int(n) or not isinstance(bases, list):
         raise ValueError("matroid-v1 needs integer 'n' and a list 'bases'")
-    _refuse_large_ground(n)
+    _refuse(n, MAX_GROUND, f"a ground set of n = {n} elements")
     if not all(isinstance(b, list) and all(map(_is_int, b)) for b in bases):
         raise ValueError("every basis must be a list of integer indices")
     labels = obj.get("labels")
@@ -113,8 +114,7 @@ def load_graph(path: str) -> Graph:
             raise ValueError("graph text format is 'v m' then m lines 'u w'") from None
         if len(edges) != m:
             raise ValueError(f"expected {m} edge lines, found {len(edges)}")
-    if v > MAX_GROUND:
-        raise ValueError(f"v = {v} exceeds the limit of {MAX_GROUND} vertices")
+    _refuse(v, MAX_GROUND, f"a graph of v = {v} vertices")
     return graph_from_edges(v, edges)
 
 
@@ -131,7 +131,7 @@ def load_matrix(path: str, field: int | None) -> ExactMatrix:
         raise ValueError("matrix-v1 needs 'rows', 'cols', and 'entries'")
     if len(entries) != rows or any(not isinstance(r, list) or len(r) != cols for r in entries):
         raise ValueError("entry grid does not match the declared shape")
-    _refuse_large_ground(cols)
+    _refuse(cols, MAX_GROUND, f"a matrix of {cols} columns")
 
     def convert(e):
         if _is_int(e):
@@ -170,47 +170,18 @@ def parse_indices(text: str) -> list[int]:
         raise ValueError(f"bad index list {text!r}; use comma-separated integers") from None
 
 
-def _refuse_large_ground(n: int) -> None:
-    if n > MAX_GROUND:
-        raise ValueError(f"n = {n} exceeds the limit of {MAX_GROUND} elements")
-
-
-def _refuse_large_enumeration(n: int, r: int) -> None:
-    """Refuse to enumerate more than MAX_ENUMERATED candidate bases C(n, r).
-    C(n, i) grows with i up to n / 2, so the product stops at the first
-    partial value over the limit and never forms a huge binomial."""
-    count = 1
-    for i in range(min(r, n - r)):
-        count = count * (n - i) // (i + 1)
-        if count > MAX_ENUMERATED:
-            raise ValueError(f"C({n}, {r}) exceeds the limit of {MAX_ENUMERATED} candidate bases")
-
-
-def _refuse_many_flats(m: Matroid) -> None:
-    """Refuse rank over MAX_FLATS_RANK: the closures of the subsets of one
-    basis are distinct flats, so rank r gives at least 2^r of them."""
-    if m.rank > MAX_FLATS_RANK:
-        raise ValueError(f"rank {m.rank} gives at least 2^{m.rank} flats (limit: rank {MAX_FLATS_RANK})")
-
-
-def _refuse_large_minor_search(host: Matroid, pattern: Matroid) -> None:
-    """Refuse more than MAX_ENUMERATED contract/delete pairs: C(n, c) contract
-    sets of size c = r(host) - r(pattern), each with C(n - c, d) delete sets of
-    size d = n - c - n(pattern)."""
-    c = host.rank - pattern.rank
-    d = host.n - c - pattern.n
-    if c >= 0 and d >= 0 and math.comb(host.n, c) * math.comb(host.n - c, d) > MAX_ENUMERATED:
-        raise ValueError(
-            f"C({host.n}, {c}) * C({host.n - c}, {d}) contract/delete pairs exceed"
-            f" the limit of {MAX_ENUMERATED}"
-        )
+def _refuse(count: int, limit: int, what: str) -> None:
+    """The one rule at the boundary: count the work first, refuse it over the limit."""
+    if count > limit:
+        raise ValueError(f"{what} exceeds the limit of {limit}")
 
 
 def _load_small_graph(path: str) -> Graph:
     """A graph whose spanning forests are few enough to enumerate."""
     from .graphs import component_count
     graph = load_graph(path)
-    _refuse_large_enumeration(len(graph.edges), graph.v - component_count(graph))
+    n, r = len(graph.edges), graph.v - component_count(graph)
+    _refuse(math.comb(n, r), MAX_ENUMERATED, f"the candidate-basis count C({n}, {r})")
     return graph
 
 
@@ -246,7 +217,7 @@ def cmd_validate(args) -> None:
 
 def cmd_info(args) -> None:
     m = load_matroid(args.file)
-    _refuse_many_flats(m)
+    _refuse(m.rank, MAX_FLATS_RANK, f"rank {m.rank} (at least 2^{m.rank} flats)")
     info = {
         "n": m.n,
         "rank": m.rank,
@@ -277,7 +248,7 @@ def cmd_subsets(args) -> None:
 
 def cmd_flats(args) -> None:
     m = load_matroid(args.file)
-    _refuse_many_flats(m)
+    _refuse(m.rank, MAX_FLATS_RANK, f"rank {m.rank} (at least 2^{m.rank} flats)")
     levels = m.flats()
     if args.pretty:
         for k, level in enumerate(levels):
@@ -303,7 +274,9 @@ def cmd_search(args) -> None:
     from .search import has_minor, isomorphism
     a, b = load_matroid(args.a), load_matroid(args.b)
     if args.command == "has-minor":
-        _refuse_large_minor_search(a, b)
+        c, d = a.rank - b.rank, a.n - a.rank + b.rank - b.n  # contract and delete set sizes
+        pairs = math.comb(a.n, c) * math.comb(a.n - c, d) if c >= 0 and d >= 0 else 0
+        _refuse(pairs, MAX_ENUMERATED, f"a search of C({a.n}, {c}) * C({a.n - c}, {d}) pairs")
     witness = (isomorphism if args.command == "isomorphic" else has_minor)(a, b)
     print("true" if witness is not None else "false")
     if witness is None:
@@ -403,11 +376,10 @@ def cmd_chow(args) -> None:
     from .algebra import chow_hilbert, chow_presentation
     m = load_matroid(args.file)
     if args.degree is None or 0 < args.degree < m.rank - 1:
-        _refuse_many_flats(m)
+        _refuse(m.rank, MAX_FLATS_RANK, f"rank {m.rank} (at least 2^{m.rank} flats)")
         flats = sum(len(level) for level in m.flats()[1:-1])
         # the quadrics, and the chain counts of the Hilbert function, compare every pair
-        if flats * (flats - 1) // 2 > MAX_ENUMERATED:
-            raise ValueError(f"{flats} proper flats give over {MAX_ENUMERATED} pairs to compare")
+        _refuse(flats * (flats - 1) // 2, MAX_ENUMERATED, f"the pair count of {flats} proper flats")
     if args.degree is not None:
         print(chow_hilbert(m, args.degree))
         return
@@ -431,21 +403,33 @@ def cmd_construct(args) -> Matroid:
     """`uniform`, `graphic`, `linear`, `named` and `direct-sum`: the matroid the command builds."""
     from . import construct
     if args.command == "uniform":
-        _refuse_large_ground(args.n)
-        _refuse_large_enumeration(args.n, args.rank)
-        return construct.uniform_matroid(args.rank, args.n)
+        n, r = args.n, args.rank
+        _refuse(n, MAX_GROUND, f"a ground set of n = {n} elements")
+        if 0 <= r <= n:  # uniform_matroid refuses the rest itself
+            _refuse(math.comb(n, r), MAX_ENUMERATED, f"the candidate-basis count C({n}, {r})")
+        return construct.uniform_matroid(r, n)
     if args.command == "graphic":
         return construct.graphic_matroid(_load_small_graph(args.file))
     if args.command == "linear":
+        from .linalg import echelon_insert
         matrix = load_matrix(args.file, parse_field(args.field))
-        _refuse_large_enumeration(matrix.cols, matrix.rank())
+        # Stream the rows: with rank k so far, the final rank r lies in k..top.
+        # C(n, r) is unimodal in r, so once both ends are over the limit every
+        # r is. After the last row top = k, which checks C(n, r) itself.
+        n, pivots = matrix.cols, {}
+        for i, row in enumerate(matrix.entries, 1):
+            echelon_insert(pivots, {c: v for c, v in enumerate(row) if v}, matrix.field)
+            k, top = len(pivots), min(n, len(pivots) + matrix.rows - i)
+            what = f"the candidate-basis count C({n}, {k})"
+            what += f" to C({n}, {top})" if top > k else ""
+            _refuse(min(math.comb(n, k), math.comb(n, top)), MAX_ENUMERATED, what)
         return construct.linear_matroid(matrix)
     if args.command == "named":
         return construct.specific_matroid(args.name)
     a, b = load_matroid(args.a), load_matroid(args.b)
-    _refuse_large_ground(a.n + b.n)
-    if len(a.basis_masks) * len(b.basis_masks) > MAX_ENUMERATED:
-        raise ValueError(f"the direct sum would have over {MAX_ENUMERATED} bases")
+    _refuse(a.n + b.n, MAX_GROUND, f"a ground set of n = {a.n + b.n} elements")
+    count = len(a.basis_masks) * len(b.basis_masks)
+    _refuse(count, MAX_ENUMERATED, f"the direct sum's basis count {count}")
     return construct.direct_sum(a, b)
 
 

@@ -7,7 +7,7 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core import Matroid, SubsetLike, as_mask
-from .subsets import GroundSubset, iter_bits, mask_from_indices
+from .subsets import iter_bits, mask_from_indices
 
 # linalg and transform load only with the one constructor that uses each
 if TYPE_CHECKING:
@@ -187,17 +187,16 @@ def direct_sum(left: Matroid, right: Matroid) -> Matroid:
 
 
 def _parts(matroid: Matroid) -> list[int]:
-    """Masks of the connected components, ordered by their least element, read
-    off one basis b: each e outside b is joined with its fundamental circuit
-    C(e, b). The fundamental graph of any single basis has the components of
-    the matroid (Krogdahl, Discrete Math. 1977). Loops and coloops end up as
-    singleton parts."""
-    n = matroid.n
-    b = matroid.basis_masks[0]
-    base_set = set(matroid.basis_masks)
-    comp = "".join(map(chr, range(n)))  # one component label per element
-    for e in iter_bits(((1 << n) - 1) ^ b):
-        for f in iter_bits(matroid._exchange(base_set, b, e) ^ 1 << e):
+    """Masks of the connected components, ordered by their least element. The
+    fundamental graph of one basis b0, which joins e and f when b0 ^ {e, f} is
+    a basis, has the components of the matroid (Krogdahl, Discrete Math. 1977),
+    and its edges are read off the bases in one pass. Loops and coloops end up
+    as singleton parts."""
+    b0 = matroid.basis_masks[0]
+    comp = "".join(map(chr, range(matroid.n)))  # one component label per element
+    for d in (b ^ b0 for b in matroid.basis_masks):
+        if d.bit_count() == 2:
+            e, f = iter_bits(d)
             comp = comp.replace(comp[f], comp[e])
     parts: dict[str, int] = {}
     for e, label in enumerate(comp):
@@ -207,8 +206,8 @@ def _parts(matroid: Matroid) -> list[int]:
 
 
 def components(matroid: Matroid) -> list[Matroid]:
-    """Connected components as restrictions, ordered by their least element,
-    so a matroid assembled as a direct sum of connected pieces is reproduced
-    by summing the results."""
-    from .transform import restriction
-    return [restriction(matroid, GroundSubset(m, matroid.n)) for m in _parts(matroid)]
+    """Connected components in order of their least element, so summing them
+    rebuilds a direct sum of connected pieces. A basis meets each component P
+    in r(P) elements, so the sets B & P are the bases of M | P."""
+    from .transform import _reindex
+    return [_reindex(matroid, p, {b & p for b in matroid.basis_masks}) for p in _parts(matroid)]

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -572,6 +573,73 @@ def test_linear_command_refuses_non_prime_field(capsys, tmp_path):
     code, out, err = invoke(capsys, "linear", "--field", "p:4", str(path))
     assert code == 1 and out == "" and err.startswith("error:")
     assert "not a prime" in err and "Traceback" not in err
+
+
+def _fresh_cli(*argv: str) -> subprocess.CompletedProcess:
+    """One `python -m matroidkit.cli` process under the 10 s budget."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "matroidkit.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+
+
+def _matrix_file(tmp_path, entries: list[list[int]]) -> str:
+    path = tmp_path / f"matrix{len(entries)}.json"
+    doc = {"format": "matrix-v1", "rows": len(entries), "cols": len(entries[0]), "entries": entries}
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("rows", [40, 100])
+def test_wide_rational_matrices_are_refused_within_budget(tmp_path, rows):
+    """The rank guard streams the rows and stops once every rank still
+    reachable gives over 10^6 candidate bases, so it never eliminates a whole
+    integer matrix of MAX_GROUND columns over the rationals first."""
+    rng = Random(rows)
+    path = _matrix_file(tmp_path, [[rng.randint(-9, 9) for _ in range(MAX_GROUND)] for _ in range(rows)])
+    proc = _fresh_cli("linear", "--field", "q", path)
+    assert proc.returncode == 1 and proc.stdout == "" and proc.stderr.startswith("error:")
+    assert f"C({MAX_GROUND}, " in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_linear_rank_guard_reads_the_final_rank(capsys, tmp_path):
+    """A 40 x 40 matrix of rank 10 is refused on its final rank, C(40, 10),
+    and one of rank 2 is built, its 780 candidates under the limit."""
+    rng = Random(5)
+    for r, code in ((10, 1), (2, 0)):
+        top = [[rng.randint(-5, 5) for _ in range(40)] for _ in range(r)]
+        mix = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(40 - r)]
+        low = [[sum(c[k] * top[k][j] for k in range(r)) for j in range(40)] for c in mix]
+        code_got, out, err = invoke(capsys, "linear", "--field", "q", _matrix_file(tmp_path, top + low))
+        assert code_got == code
+        if code:
+            assert out == "" and err.startswith("error:") and "C(40, 10)" in err
+        else:
+            doc = json.loads(out)
+            assert doc["n"] == 40 and len(doc["bases"][0]) == 2
+
+
+def test_uniform_with_a_negative_size_keeps_the_constructor_message(capsys):
+    for rank, n in (("-1", "5"), ("0", "-5")):
+        code, out, err = invoke(capsys, "uniform", "--rank", rank, "--n", n)
+        assert (code, out) == (1, "")
+        assert err == f"error: uniform matroid needs 0 <= rank <= n, got ({rank}, {n})\n"
+
+
+def test_components_of_many_parts_within_budget(tmp_path):
+    """Bases {e} plus every odd element, e even, on MAX_GROUND elements: the
+    evens form one parallel class and each odd element is a coloop."""
+    n = MAX_GROUND
+    odds = list(range(1, n, 2))
+    path = tmp_path / "parts.json"
+    path.write_text(_matroid_doc(n, [[e] + odds for e in range(0, n, 2)]))
+    proc = _fresh_cli("components", str(path))
+    assert proc.returncode == 0 and proc.stderr == ""
+    parts = json.loads(proc.stdout)["components"]
+    assert len(parts) == n // 2 + 1
+    assert parts[0] == {"format": "matroid-v1", "n": n // 2, "bases": [[e] for e in range(n // 2)]}
+    assert all(p == {"format": "matroid-v1", "n": 1, "bases": [[0]]} for p in parts[1:])
 
 
 def test_direct_sum_and_components(capsys, tmp_path):
