@@ -119,9 +119,7 @@ def load_graph(path: str) -> Graph:
 
 
 def load_matrix(path: str, field: int | None) -> ExactMatrix:
-    from fractions import Fraction
-
-    from .linalg import ExactMatrix
+    from .linalg import ExactMatrix, require_prime
 
     obj = _parse_json(_read_text(path), "matrix-v1")
     rows = obj.get("rows")
@@ -132,21 +130,14 @@ def load_matrix(path: str, field: int | None) -> ExactMatrix:
     if len(entries) != rows or any(not isinstance(r, list) or len(r) != cols for r in entries):
         raise ValueError("entry grid does not match the declared shape")
     _refuse(cols, MAX_GROUND, f"a matrix of {cols} columns")
-
-    def convert(e):
-        if _is_int(e):
-            return e
-        if isinstance(e, str):
-            if field is not None:
-                return int(e)
-            return Fraction(e)
-        raise ValueError(f"matrix entry {e!r} must be an integer or a string")
-
-    try:
-        data = [[convert(e) for e in row] for row in entries]
+    if field is not None:
+        require_prime(field)  # so that a ValueError below is an entry's
+    if not {type(e) for row in entries for e in row} <= {int, str}:
+        raise ValueError("bad matrix entry: entries must be integers or strings")
+    try:  # ExactMatrix converts each entry, once
+        return ExactMatrix(entries, field=field, cols=cols)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad matrix entry: {exc}") from None
-    return ExactMatrix(data, field=field, cols=cols)
 
 
 def parse_field(spec: str) -> int | None:

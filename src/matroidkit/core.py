@@ -9,6 +9,9 @@ from .subsets import GroundSubset, canon_key, iter_bits, mask_from_indices
 
 SubsetLike = Union[GroundSubset, Iterable[int]]
 
+# _DIGITS[k] maps each byte to the ASCII digit of its bit k.
+_DIGITS = [bytes(48 + (i >> k & 1) for i in range(256)) for k in range(8)]
+
 
 def as_mask(subset: SubsetLike, n: int) -> int:
     """Coerce a GroundSubset or an iterable of indices to a bitmask over n elements."""
@@ -29,7 +32,7 @@ class Matroid:
     Labels are display-only metadata; all computation uses indices.
     """
 
-    __slots__ = ("n", "labels", "_masks", "_rank", "_bases", "_flats")
+    __slots__ = ("n", "labels", "_masks", "_rank", "_bases", "_flats", "_cols")
 
     def __init__(
         self,
@@ -71,6 +74,7 @@ class Matroid:
         self._rank = cards.pop()
         self._bases = None
         self._flats = None
+        self._cols = None
 
     # -- structure -----------------------------------------------------------
 
@@ -120,31 +124,39 @@ class Matroid:
 
     # -- rank / closure ------------------------------------------------------
 
-    def _rank_of_mask(self, s: int) -> int:
-        return max((b & s).bit_count() for b in self._masks)
+    def _columns(self) -> list[int]:
+        """col[e]: the bitmask over basis positions of the bases that contain e,
+        built once. The bases are packed w bytes apiece, so column e is the
+        stride slice of byte e // 8, read as binary digits of bit e % 8."""
+        if self._cols is None:
+            w = (self.n + 7) >> 3
+            packed = b"".join(b.to_bytes(w, "little") for b in self._masks)
+            digits = (packed[e >> 3 :: w].translate(_DIGITS[e & 7]) for e in range(self.n))
+            self._cols = [int(d[::-1], 2) for d in digits]
+        return self._cols
+
+    def _grow(self, s: int) -> tuple[int, int]:
+        """(alive, r): grow a basis I of S greedily against the columns. alive,
+        the AND of the columns of I, marks the bases that contain I, and
+        r = |I| = r(S). x is spanned by S exactly when alive & col[x] is 0."""
+        col = self._columns()
+        alive, r = (1 << len(self._masks)) - 1, 0
+        while s:
+            low = s & -s
+            c = col[low.bit_length() - 1]
+            if alive & c:
+                alive &= c
+                r += 1
+            s ^= low
+        return alive, r
 
     def rank_of(self, subset: SubsetLike) -> int:
-        """Rank of a subset: the size of its largest intersection with a basis."""
-        return self._rank_of_mask(as_mask(subset, self.n))
-
-    def _meeting(self, s: int) -> list[int]:
-        """The bases B with |B & S| = r(S), in one pass. An element x outside S
-        raises the rank exactly when one of these bases contains x."""
-        best = -1
-        out: list[int] = []
-        for b in self._masks:
-            k = (b & s).bit_count()
-            if k > best:
-                best, out = k, [b]
-            elif k == best:
-                out.append(b)
-        return out
+        """Rank of a subset: the size of a basis of it grown greedily."""
+        return self._grow(as_mask(subset, self.n))[1]
 
     def _closure_mask(self, s: int) -> int:
-        union = 0
-        for b in self._meeting(s):
-            union |= b
-        return s | self._full() & ~union
+        alive, col = self._grow(s)[0], self._columns()
+        return s | sum(1 << x for x in iter_bits(self._full() & ~s) if not alive & col[x])
 
     def closure(self, subset: SubsetLike) -> GroundSubset:
         """Elements whose addition does not raise the rank of the subset."""
@@ -152,16 +164,7 @@ class Matroid:
 
     def is_dependent(self, subset: SubsetLike) -> bool:
         s = as_mask(subset, self.n)
-        return self._rank_of_mask(s) < s.bit_count()
-
-    def _columns(self) -> list[int]:
-        """col[e]: the bitmask over basis positions of the bases that contain e.
-        A set is independent exactly when the AND of its columns is nonzero."""
-        col = [0] * self.n
-        for i, b in enumerate(self._masks):
-            for e in iter_bits(b):
-                col[e] |= 1 << i
-        return col
+        return self._grow(s)[1] < s.bit_count()
 
     def independents(self, k: int) -> list[GroundSubset]:
         """All independent k-subsets, in lexicographic order."""
@@ -209,40 +212,43 @@ class Matroid:
         return GroundSubset(self._closure_mask(0), self.n)
 
     def coloops(self) -> GroundSubset:
-        inter = self._full()
-        for b in self._masks:
-            inter &= b
-        return GroundSubset(inter, self.n)
+        every = (1 << len(self._masks)) - 1  # a coloop's column holds every basis
+        coloops = sum(1 << e for e, c in enumerate(self._columns()) if c == every)
+        return GroundSubset(coloops, self.n)
 
     # -- flats ----------------------------------------------------------------
 
     def flats(self) -> tuple[tuple[GroundSubset, ...], ...]:
         """Flats grouped by rank, built level-by-level from the closure of the
         empty set: each rank-(k+1) flat is a cover cl(F + x) of a rank-k flat
-        F. One `_meeting(F)` sweep gives every cover of F: for x != y outside
-        F, r(F + x + y) = r(F) + 2 exactly when a basis B meeting F in r(F)
-        elements holds both (Oxley §1.4), so cl(F + x) is F + x plus what
-        lies outside union[x], the OR of those B - F that hold x. The covers
-        partition E - F, so each one's elements are skipped once found."""
+        F, and E is the one flat of full rank. With alive from `_grow(F)`, y
+        outside F + x is in cl(F + x) exactly when alive & col[x] & col[y] is
+        0, so a coloop y of M / F, with alive & col[y] == alive, is a cover
+        F + y alone. The covers partition E - F: each one's elements are
+        skipped once found."""
         if self._flats is None:
-            full = self._full()
+            col, full = self._columns(), self._full()
             current = {self._closure_mask(0)}
             levels = [self._sorted_level(current)]
-            for _ in range(self._rank):
+            for _ in range(self._rank - 1):
                 nxt = set()
                 for f in current:
-                    union = [0] * self.n  # stays 0 only on an invalid family
-                    for out in {b & ~f for b in self._meeting(f)}:
-                        for x in iter_bits(out):
-                            union[x] |= out
-                    rest = full & ~f
+                    alive, rest = self._grow(f)[0], full & ~f
+                    for y in iter_bits(rest):
+                        if alive & col[y] == alive:
+                            nxt.add(f | 1 << y)
+                            rest ^= 1 << y
                     while rest:
                         low = rest & -rest
-                        cover = f | low | full & ~union[low.bit_length() - 1]
+                        ax = alive & col[low.bit_length() - 1]
+                        spanned = (1 << y for y in iter_bits(rest ^ low) if not ax & col[y])
+                        cover = f | low | sum(spanned)
                         nxt.add(cover)
                         rest &= ~cover
                 current = nxt
                 levels.append(self._sorted_level(current))
+            if self._rank:
+                levels.append(self._sorted_level({full}))
             self._flats = tuple(levels)
         return self._flats
 

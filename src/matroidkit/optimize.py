@@ -19,12 +19,10 @@ def greedy(matroid: Matroid, weights: Sequence) -> list[int]:
     """
     if len(weights) != matroid.n:
         raise ValueError(f"expected {matroid.n} weights, got {len(weights)}")
-    chosen = 0
-    order: list[int] = []
+    col = matroid._columns()
+    alive, order = (1 << len(matroid.basis_masks)) - 1, []  # alive: the bases holding order
     for e in sorted(range(matroid.n), key=weights.__getitem__, reverse=True):
-        if len(order) == matroid.rank:
-            break
-        if matroid._rank_of_mask(chosen | 1 << e) > len(order):
+        if alive & col[e]:
+            alive &= col[e]
             order.append(e)
-            chosen |= 1 << e
     return order

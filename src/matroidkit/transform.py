@@ -46,12 +46,13 @@ def _reindex(matroid: Matroid, keep: int, masks: Iterable[int]) -> Matroid:
 
 
 def _minor(matroid: Matroid, x: int, y: int) -> Matroid:
-    """(M / X) \\ Y for disjoint masks X and Y. With keep = E - X - Y, the bases
-    are the largest of the sets B & keep over the bases B with |B & X| = r(X),
-    re-indexed densely over keep, labels carried over. When Y is empty the
-    sets all have size r(M) - r(X), so the size filter is skipped."""
+    """(M / X) \\ Y for disjoint masks X and Y: the largest of the sets
+    B & keep, keep = E - X - Y, over the bases B that contain a basis of X
+    grown by `_grow`, re-indexed densely over keep, labels carried over.
+    Without Y they all have size r(M) - r(X), so the size filter is skipped."""
     keep = matroid._full() & ~(x | y)
-    masks = [b & keep for b in matroid._meeting(x)]
+    alive = bin(matroid._grow(x)[0])[:1:-1]  # position i is basis i
+    masks = [b & keep for b, bit in zip(matroid.basis_masks, alive) if bit == "1"]
     if y:
         top = max(b.bit_count() for b in masks)
         masks = [b for b in masks if b.bit_count() == top]
@@ -69,8 +70,8 @@ def deletion(matroid: Matroid, subset: SubsetLike) -> Matroid:
 
 
 def contraction(matroid: Matroid, subset: SubsetLike) -> Matroid:
-    """Contract a subset X: the bases are B - X over the bases B with
-    |B & X| = r(X), re-indexed densely over E - X, labels carried over."""
+    """Contract a subset X: the bases are B - X over the bases B that contain
+    a basis of X, re-indexed densely over E - X, labels carried over."""
     return _minor(matroid, as_mask(subset, matroid.n), 0)
 
 

@@ -138,15 +138,42 @@ def brute_flats_by_rank(m: Matroid) -> list[set[int]]:
     return levels
 
 
+def meeting_bases(m: Matroid, mask: int) -> list[int]:
+    """The bases B with |B & S| = r(S), by one sweep of the basis list: the
+    bases of M / S are B - S over these."""
+    best = max((b & mask).bit_count() for b in m.basis_masks)
+    return [b for b in m.basis_masks if (b & mask).bit_count() == best]
+
+
+def sweep_closure(m: Matroid, mask: int) -> int:
+    """cl(S) = S | (E - OR of `meeting_bases(S)`): an element x outside S
+    raises the rank exactly when a basis meeting S in r(S) elements holds x
+    (Oxley, §1.4)."""
+    union = 0
+    for b in meeting_bases(m, mask):
+        union |= b
+    return mask | ((1 << m.n) - 1) & ~union
+
+
+def reference_columns(m: Matroid) -> list[int]:
+    """col[e], the bitmask over basis positions of the bases holding e, one
+    bit at a time."""
+    col = [0] * m.n
+    for i, b in enumerate(m.basis_masks):
+        for e in iter_bits(b):
+            col[e] |= 1 << i
+    return col
+
+
 def closure_flats_by_level(m: Matroid) -> list[list[int]]:
     """Flats by rank as masks in element order, each level the closures
     cl(F + x) over every flat F of the level below and every x outside F:
-    one full closure sweep per pair, with no cover rule and no skipping."""
+    one `sweep_closure` per pair, with no cover rule and no skipping."""
     full = (1 << m.n) - 1
-    current = {m._closure_mask(0)}
+    current = {sweep_closure(m, 0)}
     levels = [current]
     for _ in range(m.rank):
-        current = {m._closure_mask(f | 1 << x) for f in current for x in iter_bits(full & ~f)}
+        current = {sweep_closure(m, f | 1 << x) for f in current for x in iter_bits(full & ~f)}
         levels.append(current)
     return [sorted(level, key=lambda f: tuple(iter_bits(f))) for level in levels]
 

@@ -249,11 +249,11 @@ def test_criterion_17b_rank_submodularity():
             m = random_matroid(rng, max_n=8)
             s = rng.getrandbits(m.n) if m.n else 0
             t = rng.getrandbits(m.n) if m.n else 0
-            rs = m._rank_of_mask(s)
-            rt = m._rank_of_mask(t)
+            rank = lambda mask: m.rank_of(GroundSubset(mask, m.n))
+            rs, rt = rank(s), rank(t)
             assert 0 <= rs <= s.bit_count()
-            assert m._rank_of_mask(s) <= m._rank_of_mask(s | t)  # monotone
-            assert m._rank_of_mask(s | t) + m._rank_of_mask(s & t) <= rs + rt
+            assert rs <= rank(s | t)  # monotone
+            assert rank(s | t) + rank(s & t) <= rs + rt
 
 
 def test_criterion_17c_closure_idempotence():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matroidkit import cli
+from matroidkit import cli, complete_graph, graphic_matroid, uniform_matroid
 from matroidkit.cli import MAX_GROUND, dump_matroid, load_graph, load_matroid, run
 from oracles import invalid_families
 
@@ -412,6 +412,26 @@ def test_flat_rank_limit_in_a_fresh_process(tmp_path):
             assert json.loads(proc.stdout)["fvector"] == [math.comb(r, k) for k in range(r + 1)]
         else:
             assert proc.stdout == "" and proc.stderr.startswith("error:") and f"2^{r + 1}" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "matroid, fvector",
+    [
+        # M(K8): 262,144 spanning trees, f-vector the Stirling row S(8, 8 - k)
+        (lambda: graphic_matroid(complete_graph(8)), [1, 28, 266, 1050, 1701, 966, 127, 1]),
+        # U(8, 16): 12,870 bases, every set of fewer than 8 elements a flat
+        (lambda: uniform_matroid(8, 16), [math.comb(16, k) for k in range(8)] + [1]),
+    ],
+    ids=["mk8", "u816"],
+)
+def test_info_past_the_rank_guard_within_budget(tmp_path, matroid, fvector):
+    """Both pass the rank guard, and `info` lists their flats in a fresh
+    process within the 10 s budget."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(dump_matroid(matroid())))
+    proc = _fresh_cli("info", str(path))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["fvector"] == fvector
 
 
 def test_chow_hilbert_refuses_too_many_flat_pairs(capsys, tmp_path):

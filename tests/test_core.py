@@ -7,8 +7,19 @@ from random import Random
 
 import pytest
 
-from matroidkit import GroundSubset, Matroid, complete_graph, dual, graphic_matroid, uniform_matroid
+from matroidkit import (
+    GroundSubset,
+    Matroid,
+    complete_graph,
+    contraction,
+    direct_sum,
+    dual,
+    graphic_matroid,
+    greedy,
+    uniform_matroid,
+)
 from matroidkit.subsets import canon_key
+from matroidkit.transform import _reindex
 from oracles import (
     brute_circuits,
     brute_closure,
@@ -18,7 +29,11 @@ from oracles import (
     closure_flats_by_level,
     invalid_families,
     is_independent,
+    meeting_bases,
     random_matroid,
+    reference_columns,
+    round_greedy,
+    sweep_closure,
 )
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -148,6 +163,102 @@ def test_closure_matches_brute_force(running_example, u24):
         assert m.loops().bits == brute_closure(m, 0)
         for mask in range(1 << m.n):
             assert m.closure(GroundSubset(mask, m.n)).bits == brute_closure(m, mask)
+
+
+# -- the rank index: basis columns ----------------------------------------------------
+
+
+def matroid_on(rng: Random, n: int) -> Matroid:
+    """A seeded matroid on exactly n elements: a `random_matroid` plus a
+    uniform part of rank 0, 1, all but one or all, its elements shuffled so
+    that both parts cross byte boundaries."""
+    if n < 2:
+        return uniform_matroid(rng.randint(0, n), n)
+    m = random_matroid(rng, max_n=min(n, 7))
+    if m.n < n:
+        k = n - m.n
+        m = direct_sum(m, uniform_matroid(rng.choice([0, 1, k - 1, k]), k))
+    perm = rng.sample(range(n), n)
+    return Matroid(n, [[perm[e] for e in b.indices()] for b in m.bases])
+
+
+def two_level_document(n: int = 4096) -> Matroid:
+    """Bases {e} plus every odd element, for each even e: n / 2 + 1 parts."""
+    odd = sum(1 << e for e in range(1, n, 2))
+    return Matroid._from_masks(n, [odd | 1 << e for e in range(0, n, 2)])
+
+
+def sweep_rank(m: Matroid, mask: int) -> int:
+    return max((b & mask).bit_count() for b in m.basis_masks)
+
+
+def sweep_greedy(m: Matroid, weights) -> list[int]:
+    """The greedy rule in descending weight order, ranks by basis sweeps."""
+    chosen, order = 0, []
+    for e in sorted(range(m.n), key=weights.__getitem__, reverse=True):
+        if sweep_rank(m, chosen | 1 << e) > len(order):
+            order.append(e)
+            chosen |= 1 << e
+    return order
+
+
+def check_rank_index(m: Matroid, rng: Random, small: bool, count: int = 12) -> None:
+    """Rank, closure and contraction on seeded subsets, against the
+    brute-force oracles when small, otherwise against the basis sweeps;
+    loops and coloops."""
+    full = (1 << m.n) - 1
+    rank, closure = (brute_rank, brute_closure) if small else (sweep_rank, sweep_closure)
+    for _ in range(count):
+        s = rng.getrandbits(m.n) & rng.getrandbits(m.n) if m.n else 0
+        sub = GroundSubset(s, m.n)
+        assert m.rank_of(sub) == rank(m, s)
+        assert m.closure(sub).bits == closure(m, s)
+        assert m.is_dependent(sub) == (rank(m, s) < s.bit_count())
+        expected = _reindex(m, full & ~s, [b & ~s for b in meeting_bases(m, s)])
+        assert contraction(m, sub) == expected
+    assert m.loops().bits == closure(m, 0)
+    common = full
+    for b in m.basis_masks:
+        common &= b
+    assert m.coloops().bits == common
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65])
+def test_rank_index_matches_the_oracles_across_byte_boundaries(n):
+    """Columns against the per-bit build, and every query on them against
+    the oracles; greedy against the round-by-round rule or the sweeps."""
+    rng = Random(1800 + n)
+    for _ in range(12):
+        m = matroid_on(rng, n)
+        assert m._columns() == reference_columns(m)
+        check_rank_index(m, rng, small=n <= 9)
+        weights = [rng.randint(-3, 3) for _ in range(m.n)]
+        assert greedy(m, weights) == (round_greedy if n <= 9 else sweep_greedy)(m, weights)
+
+
+def test_rank_index_on_the_two_level_document():
+    """Every odd element is a coloop, and the even ones form one parallel
+    class: the column of an odd element holds every basis, and that of an
+    even e only the basis at position e / 2."""
+    m = two_level_document()
+    assert len(m.basis_masks) == 2048 and m.rank == 2049
+    everything = (1 << 2048) - 1
+    assert m._columns() == [everything if e % 2 else 1 << e // 2 for e in range(m.n)]
+    rng = Random(18)
+    check_rank_index(m, rng, small=False, count=3)
+    weights = [rng.randint(-9, 9) for _ in range(m.n)]
+    order = sorted(range(m.n), key=weights.__getitem__, reverse=True)
+    first_even = next(e for e in order if e % 2 == 0)
+    assert greedy(m, weights) == [e for e in order if e % 2 or e == first_even]
+
+
+def test_columns_of_mk8_build_within_a_second():
+    m = graphic_matroid(complete_graph(8))  # 262,144 bases
+    start = time.perf_counter()
+    col = m._columns()
+    assert time.perf_counter() - start < 1
+    assert [c.bit_count() for c in col] == [262144 * 7 // 28] * 28
+    assert m._columns() is col  # built once
 
 
 # -- dependence --------------------------------------------------------------------
