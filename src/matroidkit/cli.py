@@ -73,7 +73,7 @@ def load_matroid(path: str) -> Matroid:
     if not _is_int(n) or not isinstance(bases, list):
         raise ValueError("matroid-v1 needs integer 'n' and a list 'bases'")
     _refuse(n, MAX_GROUND, f"a ground set of n = {n} elements")
-    if not all(isinstance(b, list) and all(map(_is_int, b)) for b in bases):
+    if not all(isinstance(b, list) for b in bases) or {type(i) for b in bases for i in b} - {int}:
         raise ValueError("every basis must be a list of integer indices")
     labels = obj.get("labels")
     if labels is not None and (
@@ -193,7 +193,7 @@ def _emit_matroid(matroid: Matroid, pretty: bool) -> None:
     if not pretty:
         _emit(dump_matroid(matroid))
         return
-    print(f"n={matroid.n} rank={matroid.rank} bases={len(matroid.bases)}")
+    print(f"n={matroid.n} rank={matroid.rank} bases={len(matroid.basis_masks)}")
     print("bases: " + ", ".join(_fmt_subset(b.indices(), matroid.labels) for b in matroid.bases))
 
 
@@ -212,7 +212,7 @@ def cmd_info(args) -> None:
     info = {
         "n": m.n,
         "rank": m.rank,
-        "bases": len(m.bases),
+        "bases": len(m.basis_masks),
         "loops": list(m.loops().indices()),
         "coloops": list(m.coloops().indices()),
         "fvector": m.fvector(),
@@ -430,7 +430,7 @@ def cmd_components(args) -> None:
     if args.pretty:
         print(f"components: {len(parts)}")
         for p in parts:
-            print(f"  n={p.n} rank={p.rank} bases={len(p.bases)}")
+            print(f"  n={p.n} rank={p.rank} bases={len(p.basis_masks)}")
     else:
         _emit({"components": [dump_matroid(p) for p in parts]})
 

@@ -22,6 +22,24 @@ def as_mask(subset: SubsetLike, n: int) -> int:
     return mask_from_indices(subset, n)
 
 
+def _fundamental_circuits(masks: Sequence[int], full: int) -> set[int]:
+    """The distinct fundamental circuits C(e, b) = e + {f in b : b - f + e in
+    masks}, over every b in masks and every e in full outside b (Oxley, §1.2).
+    On the complements of masks they are the fundamental cocircuits, valid
+    family or not."""
+    base_set, found = set(masks), set()
+    for b in masks:
+        for e in iter_bits(full ^ b):
+            swap, out, rest = b | 1 << e, 1 << e, b
+            while rest:  # low bits, with no generator: this loop is most of the work
+                low = rest & -rest
+                if swap ^ low in base_set:
+                    out |= low
+                rest ^= low
+            found.add(out)
+    return found
+
+
 class Matroid:
     """A matroid on {0, ..., n-1}, represented internally by its list of bases.
 
@@ -184,28 +202,12 @@ class Matroid:
 
     # -- circuits, loops, coloops --------------------------------------------
 
-    def _exchange(self, base_set: set[int], b: int, e: int) -> int:
-        """e plus each f across the basis b with b ^ e ^ f in base_set: the
-        fundamental circuit C(e, b) when e is outside b, the fundamental
-        cocircuit C*(e, b) when e is in b (Oxley, §1.2 and §2.1)."""
-        ebit = 1 << e
-        swap, out = b ^ ebit, ebit
-        rest = self._full() ^ b if b & ebit else b
-        while rest:  # low bits, with no generator: this loop is most of the work
-            low = rest & -rest
-            if swap ^ low in base_set:
-                out |= low
-            rest ^= low
-        return out
-
     def circuits(self) -> tuple[GroundSubset, ...]:
         """All circuits of a valid basis family, in (size, elements) order: the
         fundamental circuits C(e, b) over every basis b and e outside b. Each is
         a circuit, and a circuit C is C(e, b) for any e in C and any basis b
         containing C - {e}; loops come out as one-element circuits."""
-        base_set = set(self._masks)
-        full = self._full()
-        found = {self._exchange(base_set, b, e) for b in self._masks for e in iter_bits(full ^ b)}
+        found = _fundamental_circuits(self._masks, self._full())
         return tuple(GroundSubset(m, self.n) for m in sorted(found, key=canon_key))
 
     def loops(self) -> GroundSubset:
@@ -262,10 +264,10 @@ class Matroid:
     def hyperplanes(self) -> tuple[GroundSubset, ...]:
         """The flats of rank r - 1, in (size, elements) order: the complements
         E - C*(e, b) = cl(b - {e}) of the fundamental cocircuits over every
-        basis b and every e in b."""
-        base_set = set(self._masks)
+        basis b and every e in b. C*(e, b) is the fundamental circuit
+        C(e, E - b) of the dual, whose bases are the complements."""
         full = self._full()
-        found = {full ^ self._exchange(base_set, b, e) for b in self._masks for e in iter_bits(b)}
+        found = {full ^ c for c in _fundamental_circuits([full ^ b for b in self._masks], full)}
         return tuple(GroundSubset(m, self.n) for m in sorted(found, key=canon_key))
 
     # -- labels ----------------------------------------------------------------

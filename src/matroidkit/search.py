@@ -39,9 +39,11 @@ def isomorphism(source: Matroid, target: Matroid) -> IsoWitness | None:
     agree. The search is then pruned backtracking: candidates must match
     per-element basis degrees, and partial maps must preserve pairwise basis
     co-occurrence counts. Both come from one table per matroid, whose
-    diagonal entry for an element is its degree. A complete assignment is
-    accepted only if it maps the basis set onto the target's basis set
-    exactly. The search runs depth first on its own stack and tries the
+    diagonal entry for an element is its degree. Once i -> t passes, every
+    source basis whose largest element is i is complete, and its image must
+    be a target basis. A complete assignment has then mapped each basis into
+    the target's, injectively, and the basis counts agree, so it is an
+    isomorphism. The search runs depth first on its own stack and tries the
     candidates of each element in increasing order.
     """
     if (
@@ -75,14 +77,28 @@ def isomorphism(source: Matroid, target: Matroid) -> IsoWitness | None:
     for t in range(n):
         by_degree.setdefault(deg_t[t], []).append(t)
     target_set = set(target.basis_masks)
+    # by_top[i]: the other elements of each source basis whose largest is i
+    by_top: list[list[list[int]]] = [[] for _ in range(n)]
+    for b in source.basis_masks:
+        elems = list(iter_bits(b))
+        by_top[elems.pop()].append(elems)
     assign: list[int] = []  # assign[i]: the image of source element i
     origin = [-1] * n  # origin[t]: the source element mapped to t, or -1
 
     def fits(i: int, t: int) -> bool:
-        """Whether i -> t keeps every pair count with the elements already mapped."""
+        """Whether i -> t keeps every pair count with the elements already
+        mapped, and maps each source basis completed by i onto a target basis."""
         mapped_s = {j: c for j, c in pc_s[i].items() if j < i}
         mapped_t = {origin[u]: c for u, c in pc_t[t].items() if origin[u] >= 0}
-        return mapped_s == mapped_t
+        if mapped_s != mapped_t:
+            return False
+        for rest in by_top[i]:
+            image = 1 << t
+            for j in rest:
+                image |= 1 << assign[j]
+            if image not in target_set:
+                return False
+        return True
 
     # levels[i]: the untried candidates for source element i
     levels = [iter(by_degree[deg_s[0]])]
@@ -91,14 +107,12 @@ def isomorphism(source: Matroid, target: Matroid) -> IsoWitness | None:
         for t in levels[-1]:
             if origin[t] >= 0 or not fits(i, t):
                 continue
-            if i + 1 < n:
-                assign.append(t)
-                origin[t] = i
-                levels.append(iter(by_degree[deg_s[i + 1]]))
-                break
-            perm = tuple(assign) + (t,)
-            if {apply_permutation(b, perm) for b in source.basis_masks} == target_set:
-                return IsoWitness(perm)
+            if i + 1 == n:
+                return IsoWitness(tuple(assign) + (t,))
+            assign.append(t)
+            origin[t] = i
+            levels.append(iter(by_degree[deg_s[i + 1]]))
+            break
         else:
             levels.pop()
             if assign:

@@ -282,6 +282,44 @@ def brute_isomorphic(a: Matroid, b: Matroid) -> bool:
     return False
 
 
+def cyclic_sts13() -> set[frozenset[int]]:
+    """The Steiner triple system on Z_13 with base blocks {0, 1, 4} and
+    {0, 2, 7}: their differences +-1, +-3, +-4 and +-2, +-5, +-7 cover every
+    nonzero residue once, so each pair lies in exactly one of the 26 triples."""
+    blocks = ((0, 1, 4), (0, 2, 7))
+    return {frozenset((x + d) % 13 for x in block) for block in blocks for d in range(13)}
+
+
+def pasch_configurations(triples: set[frozenset[int]]) -> list[tuple[frozenset[int], ...]]:
+    """Four triples on six points, each point in exactly two of them."""
+    out = []
+    for quad in combinations(sorted(triples, key=sorted), 4):
+        points = frozenset().union(*quad)
+        if len(points) == 6 and all(sum(p in t for t in quad) == 2 for p in points):
+            out.append(quad)
+    return out
+
+
+def pasch_trade(triples: set[frozenset[int]]) -> set[frozenset[int]]:
+    """Trade the first Pasch configuration for the other one on its six
+    points: swap two points that share none of its triples, within them. The
+    swap keeps every pair covered once, so the result is again a Steiner
+    triple system."""
+    quad = pasch_configurations(triples)[0]
+    points = sorted(frozenset().union(*quad))
+    c, d = next(pair for pair in combinations(points, 2) if not any(set(pair) <= t for t in quad))
+    swap = {c: d, d: c}
+    return (triples - set(quad)) | {frozenset(swap.get(x, x) for x in t) for t in quad}
+
+
+def sparse_paving(n: int, triples: set[frozenset[int]], perm=None) -> Matroid:
+    """The rank-3 matroid whose nonbases are the given triples, its element e
+    renamed perm[e]. For a Steiner triple system this is sparse paving."""
+    perm = perm or list(range(n))
+    kept = (c for c in combinations(range(n), 3) if frozenset(c) not in triples)
+    return Matroid(n, [[perm[e] for e in c] for c in kept])
+
+
 def _colex(pool: list[int], size: int) -> list[tuple[int, ...]]:
     """Size-subsets of an ascending pool, in colexicographic order."""
     return sorted(combinations(pool, size), key=lambda c: c[::-1])

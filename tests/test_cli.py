@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from matroidkit import cli, complete_graph, graphic_matroid, uniform_matroid
 from matroidkit.cli import MAX_GROUND, dump_matroid, load_graph, load_matroid, run
-from oracles import invalid_families
+from oracles import cyclic_sts13, invalid_families, sparse_paving
 
 
 @pytest.fixture()
@@ -662,6 +662,24 @@ def test_components_of_many_parts_within_budget(tmp_path):
     assert all(p == {"format": "matroid-v1", "n": 1, "bases": [[0]]} for p in parts[1:])
 
 
+def test_isomorphic_steiner_triple_systems_within_budget(tmp_path):
+    """Two relabelings of the cyclic STS(13) matroid: uniform pair counts
+    leave the search to its per-basis check."""
+    perm = list(range(13))
+    Random(31).shuffle(perm)
+    paths = []
+    for name, p in (("a", None), ("b", perm)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(dump_matroid(sparse_paving(13, cyclic_sts13(), p))))
+    proc = _fresh_cli("isomorphic", *map(str, paths))
+    assert proc.returncode == 0 and proc.stderr == ""
+    verdict, witness = proc.stdout.splitlines()
+    source, target = (load_matroid(str(p)) for p in paths)
+    iso = json.loads(witness)["isomorphism"]
+    mapped = {sum(1 << iso[e] for e in b.indices()) for b in source.bases}
+    assert verdict == "true" and mapped == set(target.basis_masks)
+
+
 def test_direct_sum_and_components(capsys, tmp_path):
     _, u_out, _ = invoke(capsys, "uniform", "--rank", "2", "--n", "4")
     u_path = tmp_path / "u.json"
@@ -694,6 +712,7 @@ def test_exit_codes(capsys, tmp_path):
         ("info", {"format": "matroid-v1", "n": True, "bases": [[0]]}),
         ("graphic", {"format": "graph-v1", "v": 3, "edges": ["01", "12"]}),
         ("linear", {"format": "matrix-v1", "rows": 1, "cols": 1, "entries": [5]}),
+        ("info", {"format": "matroid-v1", "n": 3, "bases": [[0, True]]}),
     ],
 )
 def test_malformed_documents_exit_1(capsys, tmp_path, command, doc):

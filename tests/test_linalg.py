@@ -100,7 +100,9 @@ def test_mod_p_dense_name_forwards():
     assert rank_rows_mod_p_dense(rows, 2, 2) == 1
 
 
-@pytest.mark.parametrize("bad", [4, 1, 0, -7, TOO_BIG_PRIME, 2**31])
+# 561 = 3 * 11 * 17, the least Carmichael number: it passes the Fermat test
+# in every base prime to it.
+@pytest.mark.parametrize("bad", [4, 1, 0, -7, 561, TOO_BIG_PRIME, 2**31])
 def test_bad_modulus_is_refused(bad):
     with pytest.raises(ValueError, match="not a prime below 2"):
         ExactMatrix([[1, 0], [0, 1]], field=bad)

@@ -1,6 +1,7 @@
 """Hypothesis property suites over randomly generated small matroids."""
 
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +44,15 @@ def small_matroids(draw, max_n=7):
     if left.n + 1 > max_n:
         return left
     return direct_sum(left, uniform_matroid(1, 1))
+
+
+@st.composite
+def equicardinal_families(draw, max_n=7):
+    """Nonempty families of r-subsets, valid or not."""
+    n = draw(st.integers(1, max_n))
+    r = draw(st.integers(0, n))
+    pool = [sum(1 << e for e in c) for c in combinations(range(n), r)]
+    return Matroid._from_masks(n, draw(st.lists(st.sampled_from(pool), min_size=1)))
 
 
 @st.composite
@@ -120,7 +130,7 @@ def test_fvector_shape(m):
     assert sum(fv) == sum(len(level) for level in m.flats())
 
 
-@given(small_matroids())
+@given(st.one_of(small_matroids(), equicardinal_families()))
 @settings(deadline=None)
 def test_duality_identities(m):
     d = dual(m)

@@ -22,8 +22,12 @@ from matroidkit.subsets import iter_bits
 from oracles import (
     brute_isomorphic,
     brute_minor_witness,
+    cyclic_sts13,
+    pasch_configurations,
+    pasch_trade,
     random_linear_matroid,
     random_matroid,
+    sparse_paving,
 )
 
 
@@ -65,6 +69,27 @@ def test_isomorphism_symmetric(running_example):
 def test_isomorphism_preserved_under_dual(running_example):
     ma = rational_column_matroid()
     assert isomorphism(dual(ma), dual(running_example)) is not None
+
+
+def test_isomorphism_of_steiner_triple_systems_on_13_points():
+    """Every pair of elements lies in the same number of bases, so the pair
+    counts prune nothing; the search finishes only by checking each basis as
+    its largest element is assigned."""
+    sts = cyclic_sts13()
+    source = sparse_paving(13, sts)
+    assert len(source.basis_masks) == 260 and source.is_valid()
+    perm = list(range(13))
+    Random(13).shuffle(perm)
+    shuffled = sparse_paving(13, sts, perm)
+    w = isomorphism(source, shuffled)
+    assert w is not None
+    verify_iso(source, shuffled, w)
+    # 13! maps is too many for brute_isomorphic; the Pasch configuration
+    # count of a triple system is invariant, and the matroid's nonbases are
+    # its triples, so differing counts certify None.
+    traded = pasch_trade(sts)
+    assert len(traded) == 26 and {len(pasch_configurations(t)) for t in (sts, traded)} == {13, 8}
+    assert isomorphism(source, sparse_paving(13, traded)) is None
 
 
 def test_isomorphism_matches_brute_force():

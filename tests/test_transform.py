@@ -16,7 +16,7 @@ from matroidkit import (
 )
 from matroidkit.subsets import iter_bits
 from matroidkit.transform import _reindex
-from oracles import brute_rank, random_matroid
+from oracles import brute_rank, invalid_families, random_matroid
 
 
 def indices(subsets):
@@ -32,7 +32,8 @@ def test_dual(running_example):
 
 
 def test_dual_identities(running_example, m5):
-    for m in (running_example, m5):
+    """Invalid families too: C*(e, b) = C(e, E - b) needs no exchange axiom."""
+    for m in [running_example, m5] + invalid_families(97, 200):
         d = dual(m)
         assert m.rank + d.rank == m.n
         assert d.loops() == m.coloops()
