@@ -23,6 +23,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .core import Matroid
+from .subsets import iter_bits
 
 # Every other module is imported by the handler that uses it, so a process
 # loads only what its command runs.
@@ -87,7 +88,7 @@ def dump_matroid(matroid: Matroid) -> dict:
     doc: dict = {"format": "matroid-v1", "n": matroid.n}
     if matroid.labels is not None:
         doc["labels"] = list(matroid.labels)
-    doc["bases"] = [list(b.indices()) for b in matroid.bases]
+    doc["bases"] = [list(iter_bits(b)) for b in matroid.basis_masks]
     return doc
 
 
@@ -104,16 +105,17 @@ def load_graph(path: str) -> Graph:
             raise ValueError("every edge must be a pair of integer vertices")
         edges = [tuple(e) for e in edges]
     else:
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        lines = [ln.split() for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty graph file")
-        try:
-            v, m = map(int, lines[0].split())
-            edges = [tuple(map(int, ln.split())) for ln in lines[1 : 1 + m]]
+        try:  # a line of other than two integers fails to unpack
+            v, m = map(int, lines[0])
+            edges = [(int(u), int(w)) for u, w in lines[1:]]
+            ok = len(edges) == m
         except ValueError:
-            raise ValueError("graph text format is 'v m' then m lines 'u w'") from None
-        if len(edges) != m:
-            raise ValueError(f"expected {m} edge lines, found {len(edges)}")
+            ok = False
+        if not ok:
+            raise ValueError("graph text format is 'v m' then m lines 'u w'")
     _refuse(v, MAX_GROUND, f"a graph of v = {v} vertices")
     return graph_from_edges(v, edges)
 
@@ -194,7 +196,8 @@ def _emit_matroid(matroid: Matroid, pretty: bool) -> None:
         _emit(dump_matroid(matroid))
         return
     print(f"n={matroid.n} rank={matroid.rank} bases={len(matroid.basis_masks)}")
-    print("bases: " + ", ".join(_fmt_subset(b.indices(), matroid.labels) for b in matroid.bases))
+    bases = (_fmt_subset(iter_bits(b), matroid.labels) for b in matroid.basis_masks)
+    print("bases: " + ", ".join(bases))
 
 
 # -- subcommands ----------------------------------------------------------------

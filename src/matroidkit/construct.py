@@ -7,7 +7,7 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core import Matroid, SubsetLike, as_mask
-from .subsets import iter_bits, mask_from_indices
+from .subsets import classes, iter_bits, mask_from_indices
 
 # linalg and transform load only with the one constructor that uses each
 if TYPE_CHECKING:
@@ -193,16 +193,8 @@ def _parts(matroid: Matroid) -> list[int]:
     and its edges are read off the bases in one pass. Loops and coloops end up
     as singleton parts."""
     b0 = matroid.basis_masks[0]
-    comp = "".join(map(chr, range(matroid.n)))  # one component label per element
-    for d in (b ^ b0 for b in matroid.basis_masks):
-        if d.bit_count() == 2:
-            e, f = iter_bits(d)
-            comp = comp.replace(comp[f], comp[e])
-    parts: dict[str, int] = {}
-    for e, label in enumerate(comp):
-        parts[label] = parts.get(label, 0) | 1 << e
-    # each part is first met at its least element
-    return list(parts.values())
+    swaps = (b ^ b0 for b in matroid.basis_masks)
+    return classes(matroid.n, (iter_bits(d) for d in swaps if d.bit_count() == 2))
 
 
 def components(matroid: Matroid) -> list[Matroid]:

@@ -50,7 +50,7 @@ class Matroid:
     Labels are display-only metadata; all computation uses indices.
     """
 
-    __slots__ = ("n", "labels", "_masks", "_rank", "_bases", "_flats", "_cols")
+    __slots__ = ("n", "labels", "_masks", "_rank", "_flats", "_cols")
 
     def __init__(
         self,
@@ -90,7 +90,6 @@ class Matroid:
         self.labels = labels
         self._masks = tuple(dedup)
         self._rank = cards.pop()
-        self._bases = None
         self._flats = None
         self._cols = None
 
@@ -106,9 +105,7 @@ class Matroid:
 
     @property
     def bases(self) -> tuple[GroundSubset, ...]:
-        if self._bases is None:
-            self._bases = tuple(GroundSubset(m, self.n) for m in self._masks)
-        return self._bases
+        return tuple(GroundSubset(m, self.n) for m in self._masks)
 
     def _full(self) -> int:
         return (1 << self.n) - 1

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .subsets import Frozen, GroundSubset
+from .subsets import Frozen, GroundSubset, classes
 
 
 class Graph(Frozen):
@@ -179,16 +179,4 @@ def get_cycles(graph: Graph) -> list[Cycle]:
 
 def component_count(graph: Graph) -> int:
     """Number of connected components, isolated vertices included."""
-    parent = list(range(graph.v))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, w in graph.edges:
-        ru, rw = find(u), find(w)
-        if ru != rw:
-            parent[ru] = rw
-    return len({find(u) for u in range(graph.v)})
+    return len(classes(graph.v, graph.edges))

@@ -73,6 +73,8 @@ def isomorphism(source: Matroid, target: Matroid) -> IsoWitness | None:
     deg_t = [pc_t[a].get(a, 0) for a in range(n)]
     if sorted(deg_s) != sorted(deg_t):
         return None
+    # below[i]: the pair counts of i with the elements mapped before it
+    below = [{j: c for j, c in pc_s[i].items() if j < i} for i in range(n)]
     by_degree: dict[int, list[int]] = {}
     for t in range(n):
         by_degree.setdefault(deg_t[t], []).append(t)
@@ -88,9 +90,7 @@ def isomorphism(source: Matroid, target: Matroid) -> IsoWitness | None:
     def fits(i: int, t: int) -> bool:
         """Whether i -> t keeps every pair count with the elements already
         mapped, and maps each source basis completed by i onto a target basis."""
-        mapped_s = {j: c for j, c in pc_s[i].items() if j < i}
-        mapped_t = {origin[u]: c for u, c in pc_t[t].items() if origin[u] >= 0}
-        if mapped_s != mapped_t:
+        if below[i] != {origin[u]: c for u, c in pc_t[t].items() if origin[u] >= 0}:
             return False
         for rest in by_top[i]:
             image = 1 << t

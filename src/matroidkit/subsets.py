@@ -28,6 +28,27 @@ def canon_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (mask.bit_count(), tuple(iter_bits(mask)))
 
 
+def classes(n: int, pairs: Iterable[Iterable[int]]) -> list[int]:
+    """The classes of range(n) that the pairs join, as masks in order of their
+    least element: union-find with path halving, each root its class's least."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    masks = [0] * n  # masks[r]: the class rooted at r
+    for e in range(n):
+        masks[find(e)] |= 1 << e
+    return [m for m in masks if m]
+
+
 class Frozen:
     """Immutable value with its fields in ``__slots__`` order: positional
     construction, equality within one class, hashing and a field repr."""

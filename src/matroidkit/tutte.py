@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .core import Matroid
+
+if TYPE_CHECKING:
+    from .graphs import Graph
 
 
 def _power(base: str, exp: int) -> str:

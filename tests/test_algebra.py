@@ -112,6 +112,11 @@ def test_chow_presentation_rejects_loops(running_example):
         chow_presentation(running_example)  # element 3 is a loop
 
 
+def test_chow_hilbert_rejects_loops(running_example):
+    with pytest.raises(ValueError, match="loopless"):
+        chow_hilbert(running_example, 1)
+
+
 def test_chow_variable_count_vamos(vamos):
     pres = chow_presentation(vamos)
     assert len(pres.flats) == sum(vamos.fvector()) - 2 == 77

@@ -713,6 +713,10 @@ def test_exit_codes(capsys, tmp_path):
         ("graphic", {"format": "graph-v1", "v": 3, "edges": ["01", "12"]}),
         ("linear", {"format": "matrix-v1", "rows": 1, "cols": 1, "entries": [5]}),
         ("info", {"format": "matroid-v1", "n": 3, "bases": [[0, True]]}),
+        ("info", {"format": "matroid-v1", "n": 2, "labels": ["a", 1], "bases": [[0]]}),
+        ("linear", {"format": "matrix-v1", "rows": 1, "cols": 1}),
+        ("linear", {"format": "matrix-v1", "rows": 1, "cols": 1, "entries": [[1.5]]}),
+        ("linear", {"format": "matrix-v1", "rows": 1, "cols": 1, "entries": [[True]]}),
     ],
 )
 def test_malformed_documents_exit_1(capsys, tmp_path, command, doc):
@@ -723,8 +727,47 @@ def test_malformed_documents_exit_1(capsys, tmp_path, command, doc):
     assert code == 1 and out == "" and err.startswith("error:")
 
 
+GRAPH_TEXT = "graph text format is 'v m' then m lines 'u w'"
+
+
 @pytest.mark.parametrize(
-    "weights", ['["x", 0, 0]', "[null, 0, 0]", "[true, 0, 0]", "[NaN, 0, 0]"]
+    "text, message",
+    [
+        ("3 1\n0 1 2\n", GRAPH_TEXT),
+        ("3 1\n0 1\n1 2\n0 2\n", GRAPH_TEXT),
+        ("3 -1\n", GRAPH_TEXT),
+        ("3 2\n0 1\n", GRAPH_TEXT),
+        ("3 1\n0\n", GRAPH_TEXT),
+        ("\n  \n", "empty graph file"),
+    ],
+    ids=["three-values", "extra-lines", "negative-m", "missing-lines", "one-value", "empty"],
+)
+def test_malformed_graph_texts_exit_1(capsys, tmp_path, text, message):
+    """Every edge line holds exactly two integers, and there are exactly m."""
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    for command in ("graphic", "cycles"):
+        assert invoke(capsys, command, str(path)) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["linear", "--field", "p:x", "A"], "bad field spec 'p:x'"),
+        (["linear", "--field", "r", "A"], "field must be 'q' (rationals) or 'p:<prime>'"),
+        (["delete", "--set", "1,a", "M"], "bad index list '1,a'; use comma-separated integers"),
+    ],
+    ids=["field-p-x", "field-r", "set-1-a"],
+)
+def test_bad_option_values_exit_1(capsys, tmp_path, m_file, argv, message):
+    matrix = tmp_path / "a.json"
+    matrix.write_text(json.dumps({"format": "matrix-v1", "rows": 1, "cols": 1, "entries": [[1]]}))
+    argv = [{"A": str(matrix), "M": m_file}.get(a, a) for a in argv]
+    assert invoke(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "weights", ['["x", 0, 0]', "[null, 0, 0]", "[true, 0, 0]", "[NaN, 0, 0]", "[1,"]
 )
 def test_greedy_rejects_non_numeric_weights(capsys, tmp_path, weights):
     _, out, _ = invoke(capsys, "uniform", "--rank", "2", "--n", "3")
@@ -921,13 +964,28 @@ def test_deterministic_output(capsys, m_file):
     assert first == second
 
 
-def test_pretty_smoke(capsys, m_file):
+def test_pretty_smoke(capsys, m_file, k5_file, tmp_path):
     code, out, _ = invoke(capsys, "info", "--pretty", m_file)
     assert code == 0 and "rank: 2" in out
     code, out, _ = invoke(capsys, "bases", "--pretty", m_file)
     assert "{a, b}" in out
     code, out, _ = invoke(capsys, "dual", "--pretty", m_file)
     assert "rank=2" in out
+    u23 = tmp_path / "u23.json"  # loopless and unlabeled
+    u23.write_text(json.dumps({"format": "matroid-v1", "n": 3, "bases": [[0, 1], [0, 2], [1, 2]]}))
+    for argv, line in [
+        (["flats", m_file], "rank 1: {a, d}, {b, c, d}"),
+        (["tutte", m_file], "x^2*y + x*y^2"),
+        (["chromatic", k5_file], "k(k - 1)(k - 2)(k - 3)(k - 4)"),
+        (["cycles", k5_file], "count: 37"),
+        (["polytope", m_file], "dimension: 1"),
+        (["chow", str(u23)], "quadric generators: 3"),
+        (["components", m_file], "  n=2 rank=1 bases=2"),
+        (["circuits", str(u23)], "  {0, 1, 2}"),
+        (["dual", str(u23)], "bases: {0}, {1}, {2}"),
+    ]:
+        code, out, _ = invoke(capsys, argv[0], "--pretty", *argv[1:])
+        assert code == 0 and line in out.splitlines()
 
 
 # -- fuzzing the loaders ------------------------------------------------------------

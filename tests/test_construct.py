@@ -22,7 +22,7 @@ from matroidkit import (
     specific_matroid,
     uniform_matroid,
 )
-from matroidkit.construct import FANO_NONBASES
+from matroidkit.construct import FANO_NONBASES, _parts
 from matroidkit.transform import restriction
 from oracles import (
     brute_components,
@@ -217,6 +217,9 @@ def test_matroid_from_nonbases():
         matroid_from_nonbases(4, [[0, 1, 2]], 2)
     with pytest.raises(ValueError):
         matroid_from_nonbases(2, [[0], [1]], 1)
+    for rank in (-1, 5):
+        with pytest.raises(ValueError):
+            matroid_from_nonbases(4, [], rank)
 
 
 def test_specific_matroids(fano, vamos):
@@ -309,6 +312,18 @@ def test_components_match_brute_force():
         want = brute_components(m)
         assert [sum(1 << int(x) for x in p.labels) for p in parts] == want
         assert parts == [restriction(m, GroundSubset(w, m.n)) for w in want]
+
+
+def test_components_match_brute_force_on_random_matroids():
+    """The partition of seeded random matroids, loops and coloops included,
+    against the circuit-closure oracle, with each part the restriction to it."""
+    rng = Random(83)
+    pool = [random_matroid(rng) for _ in range(300)]
+    assert sum(len(brute_components(m)) > 1 for m in pool) > 100
+    for m in pool:
+        want = brute_components(m)
+        assert _parts(m) == want
+        assert components(m) == [restriction(m, GroundSubset(w, m.n)) for w in want]
 
 
 def test_wide_ground_set_components():

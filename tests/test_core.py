@@ -83,10 +83,21 @@ def test_construction_errors():
         Matroid(4, [[0, 1], [2]])
     with pytest.raises(ValueError):
         Matroid(4, [[0, 1]], labels=["a"])
+    with pytest.raises(ValueError):
+        Matroid(4, [GroundSubset(0b11, 3)])  # a subset of a different ground set
+    with pytest.raises(ValueError):
+        Matroid(4, [[0, 1]]).rank_of(GroundSubset(0b1, 5))
 
 
 def test_bases_deduplicated():
     assert len(Matroid(4, [[0, 1], [1, 0], [0, 2]]).bases) == 2
+
+
+def test_bases_are_equal_on_repeated_calls():
+    m = graphic_matroid(complete_graph(4))
+    first = m.bases
+    assert m.bases == first and len(first) == 16
+    assert first == tuple(GroundSubset(b, m.n) for b in m.basis_masks)
 
 
 # -- validity ----------------------------------------------------------------------
@@ -445,3 +456,5 @@ def test_label_errors(running_example):
         running_example.indices_of(["z"])
     with pytest.raises(ValueError):
         Matroid(2, [[0]]).labels_of([0])
+    with pytest.raises(ValueError):
+        Matroid(2, [[0]]).indices_of(["0"])

@@ -1,3 +1,4 @@
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -10,7 +11,7 @@ from matroidkit import (
     get_cycles,
     graph_from_edges,
 )
-from oracles import brute_cycle_count, random_graph
+from oracles import _count_components, brute_cycle_count, random_graph
 
 
 def triangle():
@@ -27,6 +28,8 @@ def test_graph_from_edges_errors():
         graph_from_edges(3, [(0, 3)])
     with pytest.raises(ValueError):
         graph_from_edges(3, [(1, 1)])
+    with pytest.raises(ValueError):
+        graph_from_edges(-1, [])
 
 
 def test_complete_graph():
@@ -154,3 +157,16 @@ def test_component_count():
     assert component_count(complete_graph(5)) == 1
     g = graph_from_edges(5, [(0, 1), (2, 3)])
     assert component_count(g) == 3
+
+
+def test_component_count_matches_the_search_oracle():
+    """Seeded sparse graphs, most with isolated vertices, against depth-first search."""
+    rng = Random(17)
+    graphs = []
+    for _ in range(200):
+        v = rng.randint(0, 14)
+        edges = [e for e in combinations(range(v), 2) if rng.random() < 0.12]
+        graphs.append(graph_from_edges(v, edges))
+    assert sum(1 for g in graphs if len({u for e in g.edges for u in e}) < g.v) > 100
+    for g in graphs:
+        assert component_count(g) == _count_components(g.v, g.edges)

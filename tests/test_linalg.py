@@ -100,6 +100,16 @@ def test_mod_p_dense_name_forwards():
     assert rank_rows_mod_p_dense(rows, 2, 2) == 1
 
 
+@pytest.mark.parametrize(
+    "rows, cols, message",
+    [([[1, 2], [3]], None, "same length"), ([[1, 2]], 3, "disagrees")],
+    ids=["ragged", "cols"],
+)
+def test_matrix_shape_errors(rows, cols, message):
+    with pytest.raises(ValueError, match=message):
+        ExactMatrix(rows, cols=cols)
+
+
 # 561 = 3 * 11 * 17, the least Carmichael number: it passes the Fermat test
 # in every base prime to it.
 @pytest.mark.parametrize("bad", [4, 1, 0, -7, 561, TOO_BIG_PRIME, 2**31])

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from matroidkit import GroundSubset
-from matroidkit.subsets import canon_key, iter_bits, mask_from_indices
+from matroidkit.subsets import canon_key, classes, iter_bits, mask_from_indices
 
 
 def test_construction_and_indices():
@@ -56,3 +56,10 @@ def test_roundtrip_indices(indices, n):
     s = GroundSubset.of(indices, n)
     assert set(s.indices()) == indices
     assert list(iter_bits(s.bits)) == sorted(indices)
+
+
+def test_classes_in_order_of_least_element():
+    assert classes(0, []) == []
+    assert classes(5, [(3, 4), (1, 3)]) == [0b1, 0b11010, 0b100]
+    # linking 4 to 1 after 2 to 4 still roots the class at its least element
+    assert classes(6, [(4, 2), (5, 0), (1, 4), (3, 3)]) == [0b100001, 0b10110, 0b1000]
