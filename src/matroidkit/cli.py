@@ -230,14 +230,14 @@ def cmd_info(args) -> None:
 def cmd_subsets(args) -> None:
     """`bases`, `circuits` and `hyperplanes`: the subset list the command names."""
     m = load_matroid(args.file)
-    query = {"bases": lambda: m.bases, "circuits": m.circuits, "hyperplanes": m.hyperplanes}
-    subsets = query[args.command]()
+    query = {"circuits": m.circuits, "hyperplanes": m.hyperplanes}
+    masks = m.basis_masks if args.command == "bases" else [s.bits for s in query[args.command]()]
     if args.pretty:
         print(f"{args.command}:")
-        for s in subsets:
-            print("  " + _fmt_subset(s.indices(), m.labels))
+        for b in masks:
+            print("  " + _fmt_subset(iter_bits(b), m.labels))
     else:
-        _emit({args.command: [list(s.indices()) for s in subsets]})
+        _emit({args.command: [list(iter_bits(b)) for b in masks]})
 
 
 def cmd_flats(args) -> None:

@@ -43,8 +43,9 @@ def uniform_matroid(rank: int, n: int) -> Matroid:
     return Matroid._from_masks(n, masks)
 
 
-def _bases(n: int, start, extend) -> list[int]:
-    """Bases of the matroid on range(n) whose independent sets grow by extend.
+def _bases(n: int, start, extend, bits: Sequence[int] | None = None) -> list[int]:
+    """Bases of the matroid on range(n) whose independent sets grow by extend,
+    each the OR of bits[e] over its elements e (by default 1 << e).
 
     extend(state, e) returns the state of an independent set of elements below
     e plus e, or None when e depends on the set. The bases are listed depth
@@ -64,6 +65,7 @@ def _bases(n: int, start, extend) -> list[int]:
                     break
         return got
 
+    bit = bits or [1 << f for f in range(n)]
     bases: list[int] = []
     # pending branches: (state, mask, elements still needed, next element)
     stack = [(start, 0, reach(start, 0, n), 0)]
@@ -72,22 +74,24 @@ def _bases(n: int, start, extend) -> list[int]:
         if need == 0:
             bases.append(mask)
         elif need == 1:
-            bases += [mask | 1 << f for f in range(e, n) if extend(state, f) is not None]
+            bases += [mask | bit[f] for f in range(e, n) if extend(state, f) is not None]
         else:
             for f in range(e, n):
                 nxt = extend(state, f)
                 if nxt is not None:
                     if n - f > need and reach(state, f + 1, need) == need:
                         stack.append((state, mask, need, f + 1))
-                    stack.append((nxt, mask | 1 << f, need - 1, f + 1))
+                    stack.append((nxt, mask | bit[f], need - 1, f + 1))
                     break
     return bases
 
 
 def linear_matroid(matrix: ExactMatrix) -> Matroid:
     """Column matroid of an exact matrix, grown one echelon step per column."""
-    from .linalg import echelon_insert
+    from .linalg import _integral, echelon_insert
     cols = [{i: r[j] for i, r in enumerate(matrix.entries) if r[j]} for j in range(matrix.cols)]
+    if matrix.field is None:  # scaling a column keeps the column matroid
+        cols = [_integral(c) for c in cols]
 
     def extend(pivots: dict, j: int) -> dict | None:
         new = dict(pivots)
@@ -143,19 +147,44 @@ def matroid_from_nonbases(
 
 
 def graphic_matroid(graph: Graph) -> Matroid:
-    """Matroid on the edges of a graph whose circuits are the simple cycles:
-    an edge extends a forest when its ends lie in different components. The
-    state is a string with one component label per vertex, so that joining
-    two components is one str.replace."""
-    ends = graph.edges
+    """Matroid on the edges of a graph whose circuits are the simple cycles.
 
-    def extend(comp: str, e: int) -> str | None:
-        a, b = comp[ends[e][0]], comp[ends[e][1]]
-        return None if a == b else comp.replace(a, b)
+    The blocks come from the graph alone: a breadth-first spanning forest,
+    each other edge joined to the forest edges on the path between its ends.
+    A basis is one spanning tree per block, so a bridge lies in every basis,
+    and the generator runs once per other block: an edge extends a forest
+    when its ends lie in different components. The state is a string with one
+    component label per vertex, so joining two components is one str.replace."""
+    ends, v, adj, index = graph.edges, graph.v, graph.adjacency(), graph.edge_index()
+    depth, up = [-1] * v, [(0, 0)] * v  # up[y]: y's parent in the forest, and the edge to it
+    for root in range(v):
+        if depth[root] < 0:
+            depth[root], level = 0, [root]
+            for x in level:  # breadth first: the list grows while it is read
+                for y in adj[x]:
+                    if depth[y] < 0:
+                        depth[y], up[y] = depth[x] + 1, (x, index[min(x, y), max(x, y)])
+                        level.append(y)
+    pairs = []
+    for e, (a, b) in enumerate(ends):
+        while a != b:  # up the forest path between the ends; a tree edge meets itself
+            if depth[a] < depth[b]:
+                a, b = b, a
+            a, t = up[a]
+            pairs.append((e, t))
+    blocks, start = classes(len(ends), pairs), "".join(map(chr, range(v)))
+    masks = [sum(k for k in blocks if k & k - 1 == 0)]
+    for es in (list(iter_bits(k)) for k in blocks if k & k - 1):
+        sides = [ends[e] for e in es]
 
-    start = "".join(map(chr, range(graph.v)))
+        def extend(comp: str, i: int, sides=sides) -> str | None:
+            a, b = comp[sides[i][0]], comp[sides[i][1]]
+            return None if a == b else comp.replace(a, b)
+
+        part = _bases(len(es), start, extend, [1 << e for e in es])
+        masks = [a | b for a in masks for b in part]
     labels = tuple("{%d, %d}" % e for e in ends)
-    return Matroid._from_masks(len(ends), _bases(len(ends), start, extend), labels)
+    return Matroid._from_masks(len(ends), masks, labels)
 
 
 def specific_matroid(name: str) -> Matroid:

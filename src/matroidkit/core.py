@@ -11,6 +11,9 @@ SubsetLike = Union[GroundSubset, Iterable[int]]
 
 # _DIGITS[k] maps each byte to the ASCII digit of its bit k.
 _DIGITS = [bytes(48 + (i >> k & 1) for i in range(256)) for k in range(8)]
+# A set's binary digits from element 0 up, members "1" and others "2", then "0",
+# sort as the tuples of its elements: _sorted_level's key.
+_LEX = str.maketrans("0", "2")
 
 
 def as_mask(subset: SubsetLike, n: int) -> int:
@@ -252,7 +255,7 @@ class Matroid:
         return self._flats
 
     def _sorted_level(self, masks: set[int]) -> tuple[GroundSubset, ...]:
-        ordered = sorted(masks, key=lambda m: tuple(iter_bits(m)))
+        ordered = sorted(masks, key=lambda m: bin(m).lstrip("0b")[::-1].translate(_LEX) + "0")
         return tuple(GroundSubset(m, self.n) for m in ordered)
 
     def fvector(self) -> list[int]:

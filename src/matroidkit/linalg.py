@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Mapping, Sequence
 
 
@@ -87,23 +87,39 @@ def rank_rows_exact(rows: list[Mapping[int, int | Fraction]], p: int | None = No
     return len(pivots)
 
 
+def _integral(row: dict) -> dict:
+    """The row times the lcm of its entries' denominators, so integer entries."""
+    d = lcm(*(v.denominator for v in row.values()))
+    return {k: v.numerator * (d // v.denominator) for k, v in row.items()}
+
+
 def echelon_insert(pivots: dict[int, dict], row: dict, p: int | None = None) -> bool:
-    """Reduce row, whose entries are nonzero Fractions or residues mod p,
+    """Reduce row, whose entries are nonzero rationals or residues mod p,
     against the pivot rows kept so far, one per leading column. Store what is
     left as a new pivot row and return True, or return False when nothing is
-    left. The row is consumed."""
+    left. The row is consumed. Over the rationals the step is fraction free
+    (Bareiss, Math. Comp. 1968): a row of Fractions is scaled to integers on
+    entry, each reduction cross-multiplies two integer rows and divides the
+    result by the gcd of its entries, and each pivot row keeps its leading
+    entry."""
+    if p is None and Fraction in map(type, row.values()):
+        row = _integral(row)
     while row:
         c = min(row)
-        f = row.pop(c)
+        f = row[c] if p is None else row.pop(c)
         piv = pivots.get(c)
         if piv is None:
-            # store the row scaled to a leading 1, leading entry left implicit
             if p is None:
-                pivots[c] = {k: v / f for k, v in row.items()}
-            else:
+                g = gcd(*row.values())
+                pivots[c] = {k: v // g for k, v in row.items()}
+            else:  # scaled to a leading 1, leading entry left implicit
                 inv = pow(f, -1, p)
                 pivots[c] = {k: v * inv % p for k, v in row.items()}
             return True
+        if p is None:  # a * row - f * piv, with the leading entries cancelled
+            g = gcd(piv[c], f)
+            a, f = piv[c] // g, f // g
+            row = {k: a * v for k, v in row.items()}
         for k, v in piv.items():
             nv = row.get(k, 0) - f * v
             if p is not None:
@@ -112,6 +128,8 @@ def echelon_insert(pivots: dict[int, dict], row: dict, p: int | None = None) -> 
                 row[k] = nv
             else:
                 row.pop(k, None)
+        if p is None and (g := gcd(*row.values())) > 1:
+            row = {k: v // g for k, v in row.items()}
     return False
 
 

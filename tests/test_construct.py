@@ -1,6 +1,9 @@
+import importlib
 import time
 from fractions import Fraction
 from itertools import combinations
+from math import prod
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -23,6 +26,7 @@ from matroidkit import (
     uniform_matroid,
 )
 from matroidkit.construct import FANO_NONBASES, _parts
+from matroidkit.subsets import iter_bits
 from matroidkit.transform import restriction
 from oracles import (
     brute_components,
@@ -32,6 +36,8 @@ from oracles import (
     is_independent,
     random_matroid,
 )
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def indices(subsets):
@@ -90,9 +96,12 @@ def test_linear_matroid_rref_invariant():
 @pytest.mark.parametrize("p", (None, 2, 3, 7))
 def test_linear_matroid_matches_subset_oracle(p):
     """Seeded matrices, some with zero columns, parallel columns, no nonzero
-    entry, or no rows at all."""
+    entry, or no rows at all; over the rationals also Fractions and large
+    numerators, which the fraction-free elimination scales and cross-multiplies."""
     rng = Random(300 + (p or 0))
-    pool = [0, 1, -1, 2, -3, 5, 14] + ([Fraction(2, 3), Fraction(-5, 7)] if p is None else [])
+    pool = [0, 1, -1, 2, -3, 5, 14]
+    if p is None:
+        pool += [Fraction(2, 3), Fraction(-5, 7), 10**12 + 39, -(10**15), Fraction(10**13, -9)]
 
     def zero(x):
         return (x % p if p else x) == 0
@@ -138,9 +147,34 @@ def seeded_graphs(count=200):
         yield graph_from_edges(v, edges[:12])
 
 
+def glued_graphs(count=150):
+    """Graphs on at most 12 edges glued from cycles, K4s and single edges.
+    Each piece starts at a vertex already placed, a cut vertex, or at a new
+    vertex, which starts another connected component; a few vertices stay
+    isolated."""
+    rng = Random(31)
+    for _ in range(count):
+        v, edges, target = 1, [], rng.randint(3, 11)
+        while len(edges) < target:
+            at = rng.randrange(v) if rng.random() < 0.8 else v
+            size = rng.choice((2, 3, 4, 5, 4))  # 2: a single edge, 4: a K4 or a 4-cycle
+            ring = [at] + list(range(v + (at == v), v + (at == v) + size - 1))
+            v = ring[-1] + 1
+            if size == 4 and rng.random() < 0.5:
+                edges += combinations(ring, 2)
+            else:
+                edges += [(ring[i - 1], ring[i]) for i in range(1 if size == 2 else 0, size)]
+        order = edges[:12]
+        rng.shuffle(order)
+        yield graph_from_edges(v + rng.randint(0, 2), order)
+
+
 def test_graphic_matroid_matches_forest_oracle():
+    """Dense and sparse seeded graphs, and graphs glued at cut vertices from
+    blocks and bridges. A simple Graph has no parallel edges: graph_from_edges
+    drops a repeated edge."""
     seen = set()
-    for g in seeded_graphs():
+    for g in list(seeded_graphs()) + list(glued_graphs()):
         m = graphic_matroid(g)
         assert set(m.basis_masks) == brute_graphic_bases(g)
         touched = {u for e in g.edges for u in e}
@@ -154,7 +188,36 @@ def test_graphic_matroid_matches_forest_oracle():
         if m.rank == len(g.edges):
             assert m.coloops().bits == (1 << m.n) - 1
             seen.add("forest")
-    assert seen == {"no edges", "isolated vertices", "disconnected", "forest"}
+        elif m.coloops().bits:
+            seen.add("bridge and cycle")
+        blocks = [p for p in brute_components(m) if p & p - 1]
+        spans = [{u for e in iter_bits(p) for u in g.edges[e]} for p in blocks]
+        if any(a & b for a, b in combinations(spans, 2)):
+            seen.add("cut vertex between blocks")
+    assert seen == {
+        "no edges",
+        "isolated vertices",
+        "disconnected",
+        "forest",
+        "bridge and cycle",
+        "cut vertex between blocks",
+    }
+
+
+def test_cactus_basis_count_is_the_product_of_its_cycle_lengths(monkeypatch):
+    """A spanning tree of a cactus keeps every bridge and drops one edge of
+    each cycle, so the graphic matroid of the benchmark's cactus graphs has
+    prod(lengths) bases, each bridge a coloop and each cycle a circuit."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    cactus = importlib.import_module("inputs").cactus
+    rng = Random(41)
+    for _ in range(40):
+        lengths = [rng.randint(3, 6) for _ in range(rng.randint(0, 4))]
+        v, edges, cycles, bridge_mask = cactus(rng, lengths, rng.randint(0, 4))
+        m = graphic_matroid(graph_from_edges(v, edges))
+        assert len(m.basis_masks) == prod(lengths)
+        assert m.coloops().bits == bridge_mask
+        assert {c.bits for c in m.circuits()} == set(cycles)
 
 
 def test_graphic_circuits_are_the_cycles():

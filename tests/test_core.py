@@ -415,6 +415,18 @@ def test_flats_answer_on_invalid_families():
         assert len(m.flats()) == m.rank + 1
 
 
+def test_flat_order_key_matches_the_element_tuples():
+    """Each level of flats is sorted by a string key; it orders sets as their
+    ascending element tuples do, on seeded random sets up to n = 70, with
+    long shared prefixes, single elements and the empty set among them."""
+    rng = Random(17)
+    for n in range(1, 71):
+        masks = {rng.getrandbits(n) for _ in range(40)} | {0, 1, 1 << (n - 1)}
+        masks |= {m ^ 1 << rng.randrange(n) for m in list(masks)}
+        got = [s.bits for s in uniform_matroid(0, n)._sorted_level(masks)]
+        assert got == sorted(masks, key=lambda m: canon_key(m)[1])
+
+
 def test_fvector(running_example, u24):
     assert running_example.fvector() == [1, 2, 1]
     assert u24.fvector() == [1, 4, 1]

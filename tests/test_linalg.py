@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -49,6 +50,50 @@ def test_echelon_insert_reports_independence(p):
             assert grew == (len(pivots) > len(before))
             if not grew:
                 assert pivots == before
+
+
+@pytest.mark.parametrize("kind", ("integer", "fraction"))
+def test_fraction_free_echelon_matches_oracle(kind):
+    """Over the rationals, on integer rows or on Fraction rows, with negative
+    and large numerators, a zero column and rows that combine earlier ones.
+    Each step grows the echelon exactly when the rank grows, and every pivot
+    row is an integer row with gcd 1 that keeps its leading entry."""
+    rng = Random(11)
+    pool = [1, -1, 2, -3, 7, 10**12 + 39, -(10**15)]
+    seen = set()
+    for _ in range(200):
+        ncols = rng.randint(1, 8)
+        zero = rng.randrange(ncols)
+        rows: list[dict] = []
+        for _ in range(rng.randint(1, 7)):
+            if len(rows) >= 2 and rng.random() < 0.3:
+                a, b = rng.sample(rows, 2)
+                x, y = Fraction(rng.choice(pool), rng.choice((1, 3))), rng.choice(pool)
+                row = {c: x * a.get(c, 0) + y * b.get(c, 0) for c in range(ncols)}
+                row = {c: v if kind == "fraction" else int(v * 3) for c, v in row.items()}
+            else:
+                cols = rng.sample(range(ncols), rng.randint(0, ncols))
+                row = {c: rng.choice(pool) for c in cols if c != zero}
+                if kind == "fraction":
+                    row = {c: Fraction(v, rng.choice((1, 4, -9, 10**9 + 7))) for c, v in row.items()}
+            rows.append({c: v for c, v in row.items() if v})
+        pivots: dict = {}
+        for k, row in enumerate(rows):
+            before = dict(pivots)
+            grew = echelon_insert(pivots, dict(row))
+            grid = [[r.get(c, 0) for c in range(ncols)] for r in rows[: k + 1]]
+            assert len(pivots) == brute_matrix_rank(grid)
+            assert grew == (len(pivots) > len(before))
+            if not grew:
+                assert pivots == before
+                seen.add("dependent row" if row else "zero row")
+        for c, piv in pivots.items():
+            assert min(piv) == c and zero not in piv
+            assert all(type(v) is int for v in piv.values()) and gcd(*piv.values()) == 1
+        if any(abs(v) > 10**20 for piv in pivots.values() for v in piv.values()):
+            seen.add("large entries")
+        assert rank_rows_exact(rows) == len(pivots)
+    assert seen == {"dependent row", "zero row", "large entries"}
 
 
 @pytest.mark.parametrize("p", (None, 2, 3, 7))
