@@ -31,8 +31,9 @@ if TYPE_CHECKING:
     from .graphs import Graph
     from .linalg import ExactMatrix
 
-# The most bases a constructor may enumerate, flat pairs `chow` may compare, or
-# contract/delete pairs `has-minor` may try.
+# The most bases a constructor may enumerate, flat pairs `chow` may compare,
+# contract/delete pairs `has-minor` may try, or ordered basis pairs `validate`
+# may check (M(K6), 1,296 bases and 1.7 million pairs, took 13.6 s).
 MAX_ENUMERATED = 10**6
 # The highest rank whose flats `info`, `flats` and `chow` may list. A one-basis
 # document of rank r has 2^r flats: `flats` lists them in about 5 s at rank 18
@@ -206,7 +207,10 @@ def _emit_matroid(matroid: Matroid, pretty: bool) -> None:
 
 
 def cmd_validate(args) -> None:
-    print("true" if load_matroid(args.file).is_valid() else "false")
+    m = load_matroid(args.file)
+    count = len(m.basis_masks)
+    _refuse(count * (count - 1), MAX_ENUMERATED, f"the ordered pair count of {count} bases")
+    print("true" if m.is_valid() else "false")
 
 
 def cmd_info(args) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
 from typing import Iterable, Sequence, Union
 
@@ -27,19 +28,31 @@ def as_mask(subset: SubsetLike, n: int) -> int:
 
 def _fundamental_circuits(masks: Sequence[int], full: int) -> set[int]:
     """The distinct fundamental circuits C(e, b) = e + {f in b : b - f + e in
-    masks}, over every b in masks and every e in full outside b (Oxley, §1.2).
-    On the complements of masks they are the fundamental cocircuits, valid
-    family or not."""
-    base_set, found = set(masks), set()
-    for b in masks:
-        for e in iter_bits(full ^ b):
-            swap, out, rest = b | 1 << e, 1 << e, b
-            while rest:  # low bits, with no generator: this loop is most of the work
-                low = rest & -rest
-                if swap ^ low in base_set:
-                    out |= low
-                rest ^= low
-            found.add(out)
+    masks}, over every b in masks and every e outside b in the ground set
+    full = 2^n - 1 (Oxley, §1.2). On the complements of masks they are the
+    fundamental cocircuits, valid family or not.
+
+    C(e, b) is the set of x in k = b + e with k - x in masks, so each member
+    m ORs every x outside it into the value under the key m + x. A member
+    under a key k of bit length L is k less its top element, so shorter than
+    L, or holds that element, so of length L. The keys are made one length
+    at a time, from the members below that length and those of it, so only
+    one length's keys are held at once."""
+    # Timsort is linear on the stored ascending bases and their descending complements.
+    ordered, found, start = sorted(masks), set(), 0
+    for length in range(1, full.bit_length() + 1):
+        top = 1 << length - 1
+        stop = bisect_left(ordered, top << 1, start)
+        keys = dict.fromkeys([m | top for m in ordered[:start]], top)
+        for m in ordered[start:stop]:
+            rest = m ^ (top << 1) - 1
+            while rest:
+                bit = rest & -rest
+                key = m | bit
+                keys[key] = keys.get(key, 0) | bit
+                rest ^= bit
+        found.update(keys.values())
+        start = stop
     return found
 
 

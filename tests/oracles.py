@@ -77,6 +77,23 @@ def brute_circuits(m: Matroid) -> set[int]:
     return out
 
 
+def pair_fundamental_circuits(masks, full: int) -> set[int]:
+    """The fundamental circuits C(e, b) = e + {f in b : b - f + e in masks}
+    read off the definition: one lookup per member b, element e outside b
+    and element f of b."""
+    base_set, found = set(masks), set()
+    for b in masks:
+        for e in iter_bits(full ^ b):
+            swap, out, rest = b | 1 << e, 1 << e, b
+            while rest:
+                low = rest & -rest
+                if swap ^ low in base_set:
+                    out |= low
+                rest ^= low
+            found.add(out)
+    return found
+
+
 def brute_components(m: Matroid) -> list[int]:
     """Connected components as masks, in order of their minimum element: the
     classes of the relation "equal, or together in a powerset circuit", closed

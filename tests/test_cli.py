@@ -415,23 +415,69 @@ def test_flat_rank_limit_in_a_fresh_process(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "matroid, fvector",
+    "matroid, fvector, listed",
     [
-        # M(K8): 262,144 spanning trees, f-vector the Stirling row S(8, 8 - k)
-        (lambda: graphic_matroid(complete_graph(8)), [1, 28, 266, 1050, 1701, 966, 127, 1]),
+        # M(K8): 262,144 spanning trees, f-vector the Stirling row S(8, 8 - k);
+        # its circuits are the 8,018 cycles of K8, its hyperplanes the 2^7 - 1
+        # splits of the vertices in two
+        (
+            lambda: graphic_matroid(complete_graph(8)),
+            [1, 28, 266, 1050, 1701, 966, 127, 1],
+            {"circuits": 8018, "hyperplanes": 127},
+        ),
         # U(8, 16): 12,870 bases, every set of fewer than 8 elements a flat
-        (lambda: uniform_matroid(8, 16), [math.comb(16, k) for k in range(8)] + [1]),
+        (
+            lambda: uniform_matroid(8, 16),
+            [math.comb(16, k) for k in range(8)] + [1],
+            {"circuits": math.comb(16, 9), "hyperplanes": math.comb(16, 7)},
+        ),
     ],
     ids=["mk8", "u816"],
 )
-def test_info_past_the_rank_guard_within_budget(tmp_path, matroid, fvector):
-    """Both pass the rank guard, and `info` lists their flats in a fresh
-    process within the 10 s budget."""
+def test_info_past_the_rank_guard_within_budget(tmp_path, matroid, fvector, listed):
+    """Both pass the rank guard, and `info`, `circuits` and `hyperplanes`
+    answer in a fresh process within the 10 s budget. `validate` would check
+    every ordered basis pair, and is refused."""
     path = tmp_path / "m.json"
     path.write_text(json.dumps(dump_matroid(matroid())))
     proc = _fresh_cli("info", str(path))
     assert proc.returncode == 0 and proc.stderr == ""
     assert json.loads(proc.stdout)["fvector"] == fvector
+    for command, count in listed.items():
+        proc = _fresh_cli(command, str(path))
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert len(json.loads(proc.stdout)[command]) == count
+    proc = _fresh_cli("validate", str(path))
+    assert proc.returncode == 1 and proc.stdout == "" and proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_validate_refuses_too_many_basis_pairs(capsys, tmp_path):
+    """M(K6) has 1,296 bases and 1,678,320 ordered pairs, over the limit:
+    refused before the check starts."""
+    path = tmp_path / "mk6.json"
+    path.write_text(json.dumps(dump_matroid(graphic_matroid(complete_graph(6)))))
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "validate", str(path))
+    assert code == 1 and out == "" and err.startswith("error:") and "1296" in err
+    assert time.perf_counter() - start < 2
+
+
+def test_validate_pair_limit_is_inclusive(capsys, m_file, monkeypatch):
+    count = len(load_matroid(m_file).basis_masks)
+    monkeypatch.setattr(cli, "MAX_ENUMERATED", count * (count - 1))
+    assert invoke(capsys, "validate", m_file) == (0, "true\n", "")
+    monkeypatch.setattr(cli, "MAX_ENUMERATED", count * (count - 1) - 1)
+    code, out, err = invoke(capsys, "validate", m_file)
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_validate_under_the_pair_limit_within_budget(tmp_path):
+    """U(3, 18): 816 bases, 665,040 ordered pairs, checked in a fresh process."""
+    path = tmp_path / "u318.json"
+    path.write_text(json.dumps(dump_matroid(uniform_matroid(3, 18))))
+    proc = _fresh_cli("validate", str(path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "true\n", "")
 
 
 def test_chow_hilbert_refuses_too_many_flat_pairs(capsys, tmp_path):

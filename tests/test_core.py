@@ -18,6 +18,7 @@ from matroidkit import (
     greedy,
     uniform_matroid,
 )
+from matroidkit.core import _fundamental_circuits
 from matroidkit.subsets import canon_key
 from matroidkit.transform import _reindex
 from oracles import (
@@ -30,6 +31,7 @@ from oracles import (
     invalid_families,
     is_independent,
     meeting_bases,
+    pair_fundamental_circuits,
     random_matroid,
     reference_columns,
     round_greedy,
@@ -334,6 +336,28 @@ def test_wide_ground_set_circuits():
     circuits = [c.indices() for c in m.circuits()]
     assert time.perf_counter() - start < 2
     assert circuits == [(e,) for e in range(3, 4096)] + [(0, 1, 2)]
+
+
+def test_fundamental_circuits_match_the_pair_loop():
+    """The keyed pass gives the sets of the per-pair definition on any
+    equicardinal family, valid or not, on its complements, and in any order."""
+    rng = Random(61)
+    families = seeded_matroids(61, 300) + invalid_families(5, 300)
+    families += [graphic_matroid(complete_graph(5)), uniform_matroid(3, 7), Matroid(9, [[]])]
+    for m in families:
+        full = (1 << m.n) - 1
+        for masks in (list(m.basis_masks), [full ^ b for b in m.basis_masks]):
+            want = pair_fundamental_circuits(masks, full)
+            assert _fundamental_circuits(masks, full) == want
+            rng.shuffle(masks)
+            assert _fundamental_circuits(masks, full) == want
+
+
+def test_circuits_and_hyperplanes_in_canonical_order():
+    for m in seeded_matroids(67, 100) + invalid_families(7, 100):
+        for got in (m.circuits(), m.hyperplanes()):
+            masks = [s.bits for s in got]
+            assert masks == sorted(set(masks), key=canon_key)
 
 
 # -- loops and coloops -------------------------------------------------------------
