@@ -6,7 +6,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .core import Matroid, SubsetLike, as_mask
+from .core import Matroid, SubsetLike, _fundamental_circuits, as_mask
 from .subsets import classes, iter_bits, mask_from_indices
 
 # linalg and transform load only with the one constructor that uses each
@@ -104,11 +104,16 @@ def linear_matroid(matrix: ExactMatrix) -> Matroid:
 def matroid_from_circuits(
     n: int, circuits: Iterable[SubsetLike], labels: Sequence[str] | None = None
 ) -> Matroid:
-    """Matroid whose independent sets are exactly the circuit-free subsets.
+    """Matroid whose circuits are exactly the inclusion-minimal members of the
+    family, or ValueError when there is none.
 
     Each circuit is indexed under its largest element: a set grown in index
-    order first holds a circuit when that element arrives. Only the
-    inclusion-minimal members of the family matter.
+    order first holds a circuit when that element arrives, so no basis grown
+    holds a member. The minimal members are then a matroid's circuits exactly
+    when every fundamental circuit of the result is a member: no fundamental
+    circuit lies in a basis, which makes the result a matroid, its circuits
+    are the fundamental ones, and a member holding another circuit is not
+    minimal.
     """
     by_top: list[list[int]] = [[] for _ in range(n)]
     for c in circuits:
@@ -121,7 +126,11 @@ def matroid_from_circuits(
         new = mask | 1 << e
         return None if any(c & ~new == 0 for c in by_top[e]) else new
 
-    return Matroid._from_masks(n, _bases(n, 0, extend), labels)
+    matroid = Matroid._from_masks(n, _bases(n, 0, extend), labels)
+    family = {c for row in by_top for c in row}
+    if not _fundamental_circuits(matroid.basis_masks, matroid._full()) <= family:
+        raise ValueError("the family's minimal members are not the circuits of a matroid")
+    return matroid
 
 
 def matroid_from_nonbases(

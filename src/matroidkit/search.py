@@ -32,6 +32,25 @@ def apply_permutation(mask: int, perm: tuple[int, ...]) -> int:
     return out
 
 
+def _walked_pair_counts(m: Matroid) -> list[dict[int, int]]:
+    """pc[a][c]: the bases holding both a and c, kept only for pairs that
+    share one, so pc[a][a] is the degree of a; |B| r^2 dict updates."""
+    pc: list[dict[int, int]] = [{} for _ in range(m.n)]
+    for b in m.basis_masks:
+        elems = list(iter_bits(b))
+        for a in elems:
+            row = pc[a]
+            for c in elems:
+                row[c] = row.get(c, 0) + 1
+    return pc
+
+
+def _column_pair_counts(m: Matroid) -> list[dict[int, int]]:
+    """The same table as n^2 popcounts of col[a] & col[c]."""
+    col = m._columns()
+    return [{c: k for c, cc in enumerate(col) if (k := (ca & cc).bit_count())} for ca in col]
+
+
 def isomorphism(source: Matroid, target: Matroid) -> IsoWitness | None:
     """First basis-preserving bijection in deterministic order, or None.
 
@@ -39,12 +58,16 @@ def isomorphism(source: Matroid, target: Matroid) -> IsoWitness | None:
     agree. The search is then pruned backtracking: candidates must match
     per-element basis degrees, and partial maps must preserve pairwise basis
     co-occurrence counts. Both come from one table per matroid, whose
-    diagonal entry for an element is its degree. Once i -> t passes, every
-    source basis whose largest element is i is complete, and its image must
-    be a target basis. A complete assignment has then mapped each basis into
-    the target's, injectively, and the basis counts agree, so it is an
-    isomorphism. The search runs depth first on its own stack and tries the
-    candidates of each element in increasing order.
+    diagonal entry for an element is its degree, read off the basis columns
+    as n^2 popcounts of col[a] & col[c], or, when |B| r^2 is the smaller
+    count, by walking the bases. Once i -> t passes, every source basis whose
+    largest element is i is complete, and its image must be a target basis.
+    Conversely, from rank 3 on, the target bases inside the image that hold t
+    must be exactly as many, a count read off the target columns (below rank
+    3 the pair counts already fix it). A complete assignment has then mapped
+    each basis into the target's, injectively, and the basis counts agree,
+    so it is an isomorphism. The search runs depth first on its own stack and
+    tries the candidates of each element in increasing order.
     """
     if (
         source.n != target.n
@@ -56,18 +79,9 @@ def isomorphism(source: Matroid, target: Matroid) -> IsoWitness | None:
     if source == target:
         return IsoWitness(tuple(range(n)))
 
-    def pair_counts(m: Matroid) -> list[dict[int, int]]:
-        # pc[a][c]: bases holding both a and c, kept only for pairs that share
-        # one; pc[a][a] is the degree of a
-        pc: list[dict[int, int]] = [{} for _ in range(n)]
-        for b in m.basis_masks:
-            elems = list(iter_bits(b))
-            for a in elems:
-                row = pc[a]
-                for c in elems:
-                    row[c] = row.get(c, 0) + 1
-        return pc
-
+    pair_counts = _column_pair_counts
+    if n * n > len(source.basis_masks) * source.rank**2:  # the walk is the cheaper count
+        pair_counts = _walked_pair_counts
     pc_s, pc_t = pair_counts(source), pair_counts(target)
     deg_s = [pc_s[a].get(a, 0) for a in range(n)]
     deg_t = [pc_t[a].get(a, 0) for a in range(n)]
@@ -86,12 +100,23 @@ def isomorphism(source: Matroid, target: Matroid) -> IsoWitness | None:
         by_top[elems.pop()].append(elems)
     assign: list[int] = []  # assign[i]: the image of source element i
     origin = [-1] * n  # origin[t]: the source element mapped to t, or -1
+    r = source.rank
+    col_t = target._columns() if r > 2 else None  # the converse count's table, from rank 3 on
 
     def fits(i: int, t: int) -> bool:
         """Whether i -> t keeps every pair count with the elements already
-        mapped, and maps each source basis completed by i onto a target basis."""
+        mapped, leaves as many target bases inside the image holding t as
+        there are source bases completed by i, and maps each of those onto a
+        target basis."""
         if below[i] != {origin[u]: c for u, c in pc_t[t].items() if origin[u] >= 0}:
             return False
+        if col_t is not None and i >= r - 1:
+            outside = 0  # the target bases that hold an unmapped element other than t
+            for x, c in enumerate(col_t):
+                if origin[x] < 0 and x != t:
+                    outside |= c
+            if (col_t[t] & ~outside).bit_count() != len(by_top[i]):
+                return False
         for rest in by_top[i]:
             image = 1 << t
             for j in rest:

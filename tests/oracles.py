@@ -77,6 +77,20 @@ def brute_circuits(m: Matroid) -> set[int]:
     return out
 
 
+def circuit_family(family) -> set[int] | None:
+    """The inclusion-minimal members of a family of nonempty masks when they
+    satisfy circuit elimination, so are a matroid's circuits (Oxley, §1.1):
+    for distinct C1, C2 and e in both, a member lies in C1 + C2 - e. None
+    otherwise."""
+    minimal = {c for c in family if not any(d != c and d & c == d for d in family)}
+    for c1, c2 in combinations(minimal, 2):
+        for e in iter_bits(c1 & c2):
+            union = (c1 | c2) & ~(1 << e)
+            if not any(c & ~union == 0 for c in minimal):
+                return None
+    return minimal
+
+
 def pair_fundamental_circuits(masks, full: int) -> set[int]:
     """The fundamental circuits C(e, b) = e + {f in b : b - f + e in masks}
     read off the definition: one lookup per member b, element e outside b
@@ -305,6 +319,15 @@ def cyclic_sts13() -> set[frozenset[int]]:
     nonzero residue once, so each pair lies in exactly one of the 26 triples."""
     blocks = ((0, 1, 4), (0, 2, 7))
     return {frozenset((x + d) % 13 for x in block) for block in blocks for d in range(13)}
+
+
+def projective_lines(k: int) -> set[frozenset[int]]:
+    """The lines of PG(k - 1, 2): its points are the nonzero vectors of
+    GF(2)^k, point v numbered v - 1, and each line is {a, b, a + b}. They form
+    a Steiner triple system on 2^k - 1 points: Fano's 7 lines at k = 3, and
+    35 lines on 15 points at k = 4."""
+    points = range(1, 1 << k)
+    return {frozenset((a - 1, b - 1, (a ^ b) - 1)) for a in points for b in points if a < b < a ^ b}
 
 
 def pasch_configurations(triples: set[frozenset[int]]) -> list[tuple[frozenset[int], ...]]:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from matroidkit import cli, complete_graph, graphic_matroid, uniform_matroid
 from matroidkit.cli import MAX_GROUND, dump_matroid, load_graph, load_matroid, run
-from oracles import cyclic_sts13, invalid_families, sparse_paving
+from oracles import cyclic_sts13, invalid_families, pasch_trade, projective_lines, sparse_paving
 
 
 @pytest.fixture()
@@ -724,6 +724,18 @@ def test_isomorphic_steiner_triple_systems_within_budget(tmp_path):
     iso = json.loads(witness)["isomorphism"]
     mapped = {sum(1 << iso[e] for e in b.indices()) for b in source.bases}
     assert verdict == "true" and mapped == set(target.basis_masks)
+
+
+def test_isomorphic_pasch_traded_pg32_within_budget(tmp_path):
+    """The Steiner triple system of PG(3, 2) against its Pasch-traded copy:
+    equal pair counts everywhere, and no isomorphism to find."""
+    lines = projective_lines(4)
+    paths = []
+    for name, triples in (("a", lines), ("b", pasch_trade(lines))):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(dump_matroid(sparse_paving(15, triples))))
+    proc = _fresh_cli("isomorphic", *map(str, paths))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "false\n", "")
 
 
 def test_direct_sum_and_components(capsys, tmp_path):

@@ -29,10 +29,13 @@ from matroidkit.construct import FANO_NONBASES, _parts
 from matroidkit.subsets import iter_bits
 from matroidkit.transform import restriction
 from oracles import (
+    brute_circuits,
     brute_components,
     brute_graphic_bases,
     brute_linear_bases,
+    brute_is_valid,
     brute_matrix_rank,
+    circuit_family,
     is_independent,
     random_matroid,
 )
@@ -270,6 +273,38 @@ def test_matroid_from_circuits_errors():
     assert matroid_from_circuits(4, [[1, 2], [3]]).rank == 2
     with pytest.raises(ValueError):
         matroid_from_circuits(4, [[]])
+
+
+def test_matroid_from_circuits_refuses_families_that_are_not_circuits():
+    """Without the check, {01, 02} gave bases {12, 03, 13, 23}, which fail
+    basis exchange; {012, 013} gave U(2, 4), whose circuits are all four
+    triples; and {01, 12} made 1 a loop."""
+    for n, family in ((4, [[0, 1], [0, 2]]), (4, [[0, 1, 2], [0, 1, 3]]), (3, [[0, 1], [1, 2]])):
+        with pytest.raises(ValueError, match="not the circuits of a matroid"):
+            matroid_from_circuits(n, family)
+
+
+def test_matroid_from_circuits_matches_the_circuit_axioms():
+    """Seeded random families: the constructor answers exactly when the
+    minimal members satisfy circuit elimination, and then with a valid
+    matroid whose powerset circuits are those members."""
+    rng = Random(9)
+    built = refused = 0
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        draws = (sum(1 << e for e in range(n) if rng.random() < 0.4) for _ in range(rng.randint(0, 6)))
+        family = [m for m in draws if m]
+        expected = circuit_family(family)
+        sets = [list(iter_bits(c)) for c in family]
+        if expected is None:
+            with pytest.raises(ValueError):
+                matroid_from_circuits(n, sets)
+            refused += 1
+            continue
+        m = matroid_from_circuits(n, sets)
+        assert brute_is_valid(m) and brute_circuits(m) == expected
+        built += 1
+    assert built > 250 and refused > 50
 
 
 def test_matroid_from_nonbases():

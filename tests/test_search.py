@@ -8,6 +8,7 @@ from matroidkit import (
     ExactMatrix,
     Matroid,
     complete_graph,
+    direct_sum,
     dual,
     graphic_matroid,
     has_minor,
@@ -17,14 +18,20 @@ from matroidkit import (
     specific_matroid,
     uniform_matroid,
 )
-from matroidkit.search import _colex_subsets, apply_permutation
-from matroidkit.subsets import iter_bits
+from matroidkit.search import (
+    _colex_subsets,
+    _column_pair_counts,
+    _walked_pair_counts,
+    apply_permutation,
+)
+from matroidkit.subsets import GroundSubset, iter_bits
 from oracles import (
     brute_isomorphic,
     brute_minor_witness,
     cyclic_sts13,
     pasch_configurations,
     pasch_trade,
+    projective_lines,
     random_linear_matroid,
     random_matroid,
     sparse_paving,
@@ -90,6 +97,52 @@ def test_isomorphism_of_steiner_triple_systems_on_13_points():
     traded = pasch_trade(sts)
     assert len(traded) == 26 and {len(pasch_configurations(t)) for t in (sts, traded)} == {13, 8}
     assert isomorphism(source, sparse_paving(13, traded)) is None
+
+
+def test_isomorphism_of_the_steiner_triple_systems_of_pg32():
+    """PG(3, 2) with its 35 lines as nonbases: every pair of points lies on
+    one line, so the pair counts are all equal again. Each source basis the
+    search completes maps onto a target basis long before the search fails
+    on the traded copy; counting the target bases inside the image as well
+    cuts those branches."""
+    assert isomorphism(sparse_paving(7, projective_lines(3)), specific_matroid("fano")) is not None
+    lines = projective_lines(4)
+    assert len(lines) == 35
+    assert all(sum(set(pair) <= line for line in lines) == 1 for pair in combinations(range(15), 2))
+    source = sparse_paving(15, lines)
+    assert source.n == 15 and source.rank == 3 and len(source.basis_masks) == 420
+    perm = list(range(15))
+    Random(15).shuffle(perm)
+    shuffled = sparse_paving(15, lines, perm)
+    w = isomorphism(source, shuffled)
+    assert w is not None
+    verify_iso(source, shuffled, w)
+    # the Pasch counts 105 and 73 differ, so the traded copy is not isomorphic
+    traded = pasch_trade(lines)
+    assert len(traded) == 35 and [len(pasch_configurations(t)) for t in (lines, traded)] == [105, 73]
+    assert isomorphism(source, sparse_paving(15, traded)) is None
+
+
+def test_pair_count_derivations_agree():
+    """The basis walk and the column popcounts give the same table, loops'
+    empty rows included."""
+    rng = Random(23)
+    for k in range(300):
+        m = random_matroid(rng) if k % 2 else random_linear_matroid(rng)
+        assert _walked_pair_counts(m) == _column_pair_counts(m)
+
+
+def test_isomorphism_of_a_wide_sum_walks_the_bases():
+    """U(1, 25) + U(1, 1000): 25,000 bases of rank 2 on 1,025 elements, so
+    the walk's |B| r^2 = 100,000 updates undercut the n^2 = 1,050,625
+    popcounts."""
+    m = direct_sum(uniform_matroid(1, 25), uniform_matroid(1, 1000))
+    perm = list(range(m.n))
+    Random(25).shuffle(perm)
+    shuffled = Matroid(m.n, [GroundSubset(apply_permutation(b, tuple(perm)), m.n) for b in m.basis_masks])
+    w = isomorphism(m, shuffled)
+    assert w is not None
+    verify_iso(m, shuffled, w)
 
 
 def test_isomorphism_matches_brute_force():
