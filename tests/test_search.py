@@ -21,6 +21,7 @@ from matroidkit import (
 from matroidkit.search import (
     _colex_subsets,
     _column_pair_counts,
+    _walk_is_cheaper,
     _walked_pair_counts,
     apply_permutation,
 )
@@ -132,17 +133,41 @@ def test_pair_count_derivations_agree():
         assert _walked_pair_counts(m) == _column_pair_counts(m)
 
 
-def test_isomorphism_of_a_wide_sum_walks_the_bases():
-    """U(1, 25) + U(1, 1000): 25,000 bases of rank 2 on 1,025 elements, so
-    the walk's |B| r^2 = 100,000 updates undercut the n^2 = 1,050,625
-    popcounts."""
-    m = direct_sum(uniform_matroid(1, 25), uniform_matroid(1, 1000))
-    perm = list(range(m.n))
-    Random(25).shuffle(perm)
-    shuffled = Matroid(m.n, [GroundSubset(apply_permutation(b, tuple(perm)), m.n) for b in m.basis_masks])
-    w = isomorphism(m, shuffled)
-    assert w is not None
-    verify_iso(m, shuffled, w)
+def test_pair_counts_walk_the_bases_of_wide_low_rank_inputs_only():
+    """The rule weighs the walk's |B| r^2 dict updates against n^2 popcounts
+    on columns |B| bits wide. Dense inputs read the columns; many parallel
+    elements, or a dense rank 2 from about 90 elements on, walk."""
+    def walks(m):
+        return _walk_is_cheaper(m.n, m.rank, len(m.basis_masks))
+
+    assert not walks(graphic_matroid(complete_graph(7)))
+    assert not walks(sparse_paving(15, projective_lines(4)))
+    assert not walks(uniform_matroid(3, 100))
+    assert not walks(uniform_matroid(2, 80)) and walks(uniform_matroid(2, 90))
+    assert walks(uniform_matroid(1, 8))
+    assert walks(direct_sum(uniform_matroid(1, 25), uniform_matroid(1, 1000)))
+    assert walks(direct_sum(uniform_matroid(2, 6), uniform_matroid(1, 300)))
+    # U(2, 1000) less one pair: 499,499 bases, each column that many bits wide
+    assert _walk_is_cheaper(1000, 2, 499_499)
+
+
+def test_isomorphism_of_wide_low_rank_inputs():
+    """Inputs on the walk's side of the rule: U(1, 25) + U(1, 1000), 25,000
+    bases of rank 2 on 1,025 elements; U(2, 300) less the pair {0, 1},
+    44,849 bases; U(2, 6) + U(1, 300), rank 3 with 300 parallel elements."""
+    dense = Matroid(300, [p for p in combinations(range(300), 2) if p != (0, 1)])
+    for m in (
+        direct_sum(uniform_matroid(1, 25), uniform_matroid(1, 1000)),
+        dense,
+        direct_sum(uniform_matroid(2, 6), uniform_matroid(1, 300)),
+    ):
+        assert _walk_is_cheaper(m.n, m.rank, len(m.basis_masks))
+        perm = list(range(m.n))
+        Random(m.n).shuffle(perm)
+        shuffled = Matroid(m.n, [GroundSubset(apply_permutation(b, tuple(perm)), m.n) for b in m.basis_masks])
+        w = isomorphism(m, shuffled)
+        assert w is not None
+        verify_iso(m, shuffled, w)
 
 
 def test_isomorphism_matches_brute_force():
