@@ -3,18 +3,18 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, compress, repeat
+from operator import and_
 from typing import Iterable, Sequence, Union
 
-from .subsets import GroundSubset, canon_key, iter_bits, mask_from_indices
+from .subsets import GroundSubset, iter_bits, mask_from_indices
 
 SubsetLike = Union[GroundSubset, Iterable[int]]
 
 # _DIGITS[k] maps each byte to the ASCII digit of its bit k.
 _DIGITS = [bytes(48 + (i >> k & 1) for i in range(256)) for k in range(8)]
-# A set's binary digits from element 0 up, members "1" and others "2", then "0",
-# sort as the tuples of its elements: _sorted_level's key.
-_LEX = str.maketrans("0", "2")
+_LEX = str.maketrans("0", "2")  # _in_order's digit for a non-member
 
 
 def as_mask(subset: SubsetLike, n: int) -> int:
@@ -24,6 +24,17 @@ def as_mask(subset: SubsetLike, n: int) -> int:
             raise ValueError(f"subset lives on {subset.n} elements, matroid has {n}")
         return subset.bits
     return mask_from_indices(subset, n)
+
+
+def _in_order(masks: Iterable[int], n: int, by_size: bool = False) -> tuple[GroundSubset, ...]:
+    """The sets as GroundSubsets in the order of their ascending element
+    tuples, by size first when by_size. Each set is keyed by its binary digits
+    from element 0 up, members "1" and others "2", then "0": where two tuples
+    first differ, or one ends, the strings differ the same way."""
+    ordered = sorted(masks, key=lambda m: bin(m).lstrip("0b")[::-1].translate(_LEX) + "0")
+    if by_size:
+        ordered.sort(key=int.bit_count)  # stable: element order within each size
+    return tuple(map(GroundSubset, ordered, repeat(n)))
 
 
 def _fundamental_circuits(masks: Sequence[int], full: int) -> set[int]:
@@ -121,7 +132,7 @@ class Matroid:
 
     @property
     def bases(self) -> tuple[GroundSubset, ...]:
-        return tuple(GroundSubset(m, self.n) for m in self._masks)
+        return tuple(map(GroundSubset, self._masks, repeat(self.n)))
 
     def _full(self) -> int:
         return (1 << self.n) - 1
@@ -186,8 +197,11 @@ class Matroid:
         return self._grow(as_mask(subset, self.n))[1]
 
     def _closure_mask(self, s: int) -> int:
-        alive, col = self._grow(s)[0], self._columns()
-        return s | sum(1 << x for x in iter_bits(self._full() & ~s) if not alive & col[x])
+        alive = self._grow(s)[0]
+        for x, c in enumerate(self._columns()):
+            if not alive & c:
+                s |= 1 << x
+        return s
 
     def closure(self, subset: SubsetLike) -> GroundSubset:
         """Elements whose addition does not raise the rank of the subset."""
@@ -198,20 +212,18 @@ class Matroid:
         return self._grow(s)[1] < s.bit_count()
 
     def independents(self, k: int) -> list[GroundSubset]:
-        """All independent k-subsets, in lexicographic order."""
+        """All independent k-subsets, in lexicographic order. A k-subset is
+        independent when the AND of its columns is nonzero; the columns and
+        the single-bit masks are combined in the same combination order."""
         if k < 0:
             raise ValueError("subset size must be nonnegative")
         if k > self._rank:  # every independent set lies in a basis
             return []
-        col = self._columns()
-        out = []
-        for combo in combinations(range(self.n), k):
-            alive = -1  # every basis, for the empty set
-            for e in combo:
-                alive &= col[e]
-            if alive:
-                out.append(GroundSubset(mask_from_indices(combo, self.n), self.n))
-        return out
+        if k == 0:
+            return [GroundSubset(0, self.n)]
+        alive = map(reduce, repeat(and_), combinations(self._columns(), k))
+        masks = map(sum, combinations([1 << e for e in range(self.n)], k))
+        return list(map(GroundSubset, compress(masks, alive), repeat(self.n)))
 
     # -- circuits, loops, coloops --------------------------------------------
 
@@ -220,8 +232,7 @@ class Matroid:
         fundamental circuits C(e, b) over every basis b and e outside b. Each is
         a circuit, and a circuit C is C(e, b) for any e in C and any basis b
         containing C - {e}; loops come out as one-element circuits."""
-        found = _fundamental_circuits(self._masks, self._full())
-        return tuple(GroundSubset(m, self.n) for m in sorted(found, key=canon_key))
+        return _in_order(_fundamental_circuits(self._masks, self._full()), self.n, by_size=True)
 
     def loops(self) -> GroundSubset:
         return GroundSubset(self._closure_mask(0), self.n)
@@ -244,7 +255,7 @@ class Matroid:
         if self._flats is None:
             col, full = self._columns(), self._full()
             current = {self._closure_mask(0)}
-            levels = [self._sorted_level(current)]
+            levels = [_in_order(current, self.n)]
             for _ in range(self._rank - 1):
                 nxt = set()
                 for f in current:
@@ -261,15 +272,11 @@ class Matroid:
                         nxt.add(cover)
                         rest &= ~cover
                 current = nxt
-                levels.append(self._sorted_level(current))
+                levels.append(_in_order(current, self.n))
             if self._rank:
-                levels.append(self._sorted_level({full}))
+                levels.append(_in_order({full}, self.n))
             self._flats = tuple(levels)
         return self._flats
-
-    def _sorted_level(self, masks: set[int]) -> tuple[GroundSubset, ...]:
-        ordered = sorted(masks, key=lambda m: bin(m).lstrip("0b")[::-1].translate(_LEX) + "0")
-        return tuple(GroundSubset(m, self.n) for m in ordered)
 
     def fvector(self) -> list[int]:
         return [len(level) for level in self.flats()]
@@ -280,8 +287,8 @@ class Matroid:
         basis b and every e in b. C*(e, b) is the fundamental circuit
         C(e, E - b) of the dual, whose bases are the complements."""
         full = self._full()
-        found = {full ^ c for c in _fundamental_circuits([full ^ b for b in self._masks], full)}
-        return tuple(GroundSubset(m, self.n) for m in sorted(found, key=canon_key))
+        cocircuits = _fundamental_circuits(list(map(full.__xor__, self._masks)), full)
+        return _in_order(map(full.__xor__, cocircuits), self.n, by_size=True)
 
     # -- labels ----------------------------------------------------------------
 

@@ -23,11 +23,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def canon_key(mask: int) -> tuple[int, tuple[int, ...]]:
-    """Canonical sort key for subsets: cardinality, then element order."""
-    return (mask.bit_count(), tuple(iter_bits(mask)))
-
-
 def classes(n: int, pairs: Iterable[Iterable[int]]) -> list[int]:
     """The classes of range(n) that the pairs join, as masks in order of their
     least element: union-find with path halving, each root its class's least."""

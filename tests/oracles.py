@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
+from math import comb
 from random import Random
 
 from matroidkit import (
@@ -27,6 +28,11 @@ from matroidkit.subsets import iter_bits
 
 
 # -- set-system oracles ----------------------------------------------------------
+
+
+def canon_key(mask: int) -> tuple[int, tuple[int, ...]]:
+    """The order of circuits and hyperplanes: cardinality, then element tuple."""
+    return (mask.bit_count(), tuple(iter_bits(mask)))
 
 
 def is_independent(m: Matroid, mask: int) -> bool:
@@ -422,6 +428,26 @@ def brute_max_basis_weight(m: Matroid, weights) -> object:
 
 
 # -- tutte -------------------------------------------------------------------------
+
+
+def tutte_by_corank_nullity(m: Matroid):
+    """Tutte polynomial as Whitney's rank generating function, the sum over
+    every subset S of (x - 1)^(r - r(S)) (y - 1)^(|S| - r(S)), with r(S) from
+    the powerset oracle and each power expanded by the binomial theorem."""
+    from matroidkit import BivarPoly
+
+    exponents: dict[tuple[int, int], int] = {}
+    for s in range(1 << m.n):
+        rs = brute_rank(m, s)
+        key = (m.rank - rs, s.bit_count() - rs)
+        exponents[key] = exponents.get(key, 0) + 1
+    terms: dict[tuple[int, int], int] = {}
+    for (a, b), count in exponents.items():
+        for i in range(a + 1):
+            for j in range(b + 1):
+                c = count * comb(a, i) * comb(b, j) * (-1) ** (a - i + b - j)
+                terms[i, j] = terms.get((i, j), 0) + c
+    return BivarPoly(terms)
 
 
 def tutte_by_activities(m: Matroid):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 from random import Random
 
@@ -205,6 +206,38 @@ def test_chow_hilbert_symmetry():
         values = [chow_hilbert(m, d) for d in range(m.rank)]
         assert values == values[::-1]
         done += 1
+
+
+def test_chow_hilbert_unimodal():
+    """The Hilbert function of a loopless matroid's Chow ring is unimodal
+    (Adiprasito, Huh and Katz, Ann. of Math. 2018)."""
+    rng = Random(31)
+    done = 0
+    while done < 40:
+        m = random_matroid(rng, max_n=7)
+        loops = m.loops()
+        if len(loops):
+            m = deletion(m, loops)
+        if m.rank < 1 or m.n == 0:
+            continue
+        values = [chow_hilbert(m, d) for d in range(m.rank)]
+        peak = values.index(max(values))
+        assert values[: peak + 1] == sorted(values[: peak + 1])
+        assert values[peak:] == sorted(values[peak:], reverse=True)
+        done += 1
+
+
+def eulerian(n: int, d: int) -> int:
+    """A(n, d), the permutations of n with d descents, by the alternating sum."""
+    return sum((-1) ** k * comb(n + 1, k) * (d + 1 - k) ** n for k in range(d + 2))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_chow_hilbert_of_the_boolean_matroid_is_eulerian(n):
+    """The Chow ring of U(n, n) is the cohomology of the permutohedral
+    variety, whose Betti numbers are the Eulerian numbers A(n, d)."""
+    m = uniform_matroid(n, n)
+    assert [chow_hilbert(m, d) for d in range(n)] == [eulerian(n, d) for d in range(n)]
 
 
 @pytest.mark.parametrize(

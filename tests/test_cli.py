@@ -775,6 +775,8 @@ def test_exit_codes(capsys, tmp_path):
         ("linear", {"format": "matrix-v1", "rows": 1, "cols": 1}),
         ("linear", {"format": "matrix-v1", "rows": 1, "cols": 1, "entries": [[1.5]]}),
         ("linear", {"format": "matrix-v1", "rows": 1, "cols": 1, "entries": [[True]]}),
+        ("info", {"format": "matroid-v1", "n": 3, "bases": [[0, 0]]}),
+        ("info", {"format": "matroid-v1", "n": 3, "bases": [[0, 1], [0, 1, 1]]}),
     ],
 )
 def test_malformed_documents_exit_1(capsys, tmp_path, command, doc):

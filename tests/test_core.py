@@ -18,8 +18,7 @@ from matroidkit import (
     greedy,
     uniform_matroid,
 )
-from matroidkit.core import _fundamental_circuits
-from matroidkit.subsets import canon_key
+from matroidkit.core import _fundamental_circuits, _in_order
 from matroidkit.transform import _reindex
 from oracles import (
     brute_circuits,
@@ -27,11 +26,13 @@ from oracles import (
     brute_flats_by_rank,
     brute_is_valid,
     brute_rank,
+    canon_key,
     closure_flats_by_level,
     invalid_families,
     is_independent,
     meeting_bases,
     pair_fundamental_circuits,
+    random_linear_matroid,
     random_matroid,
     reference_columns,
     round_greedy,
@@ -305,6 +306,20 @@ def test_independents_match_brute_force(running_example, u24):
         u24.independents(-1)
 
 
+def test_independents_match_the_independence_oracle():
+    """Seeded random and random linear matroids up to 9 elements: for every k
+    from 0 to r + 1, the lexicographic k-subsets inside some basis, in order."""
+    rng = Random(71)
+    ms = [random_matroid(rng, max_n=9) for _ in range(60)]
+    ms += [random_linear_matroid(rng, max_n=9) for _ in range(60)]
+    for m in ms:
+        for k in range(m.rank + 2):
+            got = m.independents(k)
+            masks = (sum(1 << e for e in combo) for combo in combinations(range(m.n), k))
+            assert [s.bits for s in got] == [s for s in masks if is_independent(m, s)]
+            assert all(s.n == m.n for s in got)
+
+
 def test_independents_above_the_rank_return_at_once():
     # C(24, 12) = 2,704,156 subsets, none of them independent
     start = time.perf_counter()
@@ -440,15 +455,23 @@ def test_flats_answer_on_invalid_families():
 
 
 def test_flat_order_key_matches_the_element_tuples():
-    """Each level of flats is sorted by a string key; it orders sets as their
-    ascending element tuples do, on seeded random sets up to n = 70, with
-    long shared prefixes, single elements and the empty set among them."""
+    """Flats, circuits and hyperplanes are sorted by one string key; it orders
+    sets as their ascending element tuples do, and by size first as
+    `canon_key` does, on seeded random sets up to n = 70, with long shared
+    prefixes, single elements and the empty set among them."""
     rng = Random(17)
     for n in range(1, 71):
         masks = {rng.getrandbits(n) for _ in range(40)} | {0, 1, 1 << (n - 1)}
         masks |= {m ^ 1 << rng.randrange(n) for m in list(masks)}
-        got = [s.bits for s in uniform_matroid(0, n)._sorted_level(masks)]
+        got = [s.bits for s in _in_order(masks, n)]
         assert got == sorted(masks, key=lambda m: canon_key(m)[1])
+        got = [s.bits for s in _in_order(masks, n, by_size=True)]
+        assert got == sorted(masks, key=canon_key)
+
+
+def test_canon_key_orders_by_size_then_elements():
+    assert canon_key(0b1000) < canon_key(0b0110)
+    assert canon_key(0b0011) < canon_key(0b0101)
 
 
 def test_fvector(running_example, u24):

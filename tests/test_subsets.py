@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from matroidkit import GroundSubset
-from matroidkit.subsets import canon_key, classes, iter_bits, mask_from_indices
+from matroidkit.subsets import classes, iter_bits, mask_from_indices
 
 
 def test_construction_and_indices():
@@ -44,11 +44,6 @@ def test_empty_and_full():
     assert len(GroundSubset.empty(5)) == 0
     assert GroundSubset.full(5).indices() == (0, 1, 2, 3, 4)
     assert GroundSubset.empty(0).bits == 0
-
-
-def test_canon_key_orders_by_size_then_elements():
-    assert canon_key(0b1000) < canon_key(0b0110)
-    assert canon_key(0b0011) < canon_key(0b0101)
 
 
 @given(st.sets(st.integers(0, 15)), st.just(16))

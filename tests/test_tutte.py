@@ -13,7 +13,12 @@ from matroidkit import (
     tutte_polynomial,
     uniform_matroid,
 )
-from oracles import brute_coloring_count, random_matroid, tutte_by_activities
+from oracles import (
+    brute_coloring_count,
+    random_matroid,
+    tutte_by_activities,
+    tutte_by_corank_nullity,
+)
 
 
 def test_bivar_poly_arithmetic():
@@ -76,6 +81,14 @@ def test_tutte_matches_activity_oracle():
     for _ in range(25):
         m = random_matroid(rng, max_n=7)
         assert tutte_polynomial(m) == tutte_by_activities(m)
+
+
+def test_tutte_matches_the_corank_nullity_expansion():
+    """Whitney's sum over all subsets, on seeded random matroids up to 9 elements."""
+    rng = Random(7)
+    for _ in range(25):
+        m = random_matroid(rng, max_n=9)
+        assert tutte_polynomial(m) == tutte_by_corank_nullity(m)
 
 
 def test_chromatic_k5():
