@@ -23,7 +23,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .core import Matroid
-from .subsets import iter_bits, mask_from_indices
+from .subsets import iter_bits
 
 # Every other module is imported by the handler that uses it, so a process
 # loads only what its command runs.
@@ -82,11 +82,7 @@ def load_matroid(path: str) -> Matroid:
         not isinstance(labels, list) or any(not isinstance(x, str) for x in labels)
     ):
         raise ValueError("'labels' must be a list of strings")
-    masks = [mask_from_indices(b, n) for b in bases]
-    twice = next((b for b, m in zip(bases, masks) if m.bit_count() != len(b)), None)
-    if twice is not None:
-        raise ValueError(f"basis {twice} repeats an index")
-    return Matroid._from_masks(n, masks, labels)
+    return Matroid(n, bases, labels)
 
 
 def dump_matroid(matroid: Matroid) -> dict:

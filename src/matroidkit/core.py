@@ -71,7 +71,8 @@ class Matroid:
     """A matroid on {0, ..., n-1}, represented internally by its list of bases.
 
     Construction checks only that the basis family is nonempty and
-    equicardinal; the full exchange check is the separate `is_valid` call.
+    equicardinal and that no basis repeats an index; the full exchange check
+    is the separate `is_valid` call.
     Instances are immutable apart from memoized query results, which are pure
     functions of (n, bases), so a duplicated concurrent fill is harmless.
     Labels are display-only metadata; all computation uses indices.
@@ -85,8 +86,20 @@ class Matroid:
         bases: Iterable[SubsetLike],
         labels: Sequence[str] | None = None,
     ):
-        masks = [as_mask(b, n) for b in bases]
+        bases = list(bases)
+        try:
+            count = sum(map(len, bases))
+        except TypeError:  # a basis given as a one-pass iterable
+            bases = [b if isinstance(b, GroundSubset) else tuple(b) for b in bases]
+            count = sum(map(len, bases))
+        # as_mask, with its call saved on each plain index list
+        masks = [
+            as_mask(b, n) if isinstance(b, GroundSubset) else mask_from_indices(b, n) for b in bases
+        ]
         self._init_from_masks(n, masks, labels)
+        if count != self._rank * len(masks):  # a repeated index leaves fewer bits than indices
+            twice = next(b for b, m in zip(bases, masks) if m.bit_count() != len(b))
+            raise ValueError(f"basis {twice} repeats an index")
 
     @classmethod
     def _from_masks(

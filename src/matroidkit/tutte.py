@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Iterable
 
 from .core import Matroid
@@ -179,31 +180,30 @@ class BivarPoly:
 
 
 def tutte_polynomial(matroid: Matroid) -> BivarPoly:
-    """Deletion-contraction on the smallest non-loop, non-coloop element, run
-    depth first on an explicit stack of (ground, bases) states. A state that
-    is all coloops and loops is a leaf and counts once towards the
-    coefficient of x^(#coloops) * y^(#loops).
-
-    There is no memo: every state is reached by exactly one sequence of
-    deletions and contractions, so no state would ever be looked up twice."""
-    leaves: dict[tuple[int, int], int] = {}
-    stack = [((1 << matroid.n) - 1, list(matroid.basis_masks))]
+    """Deletion-contraction as one walk of the ascending basis list B. A state
+    is a slice B[lo:hi], the minor whose bases are its members less the
+    contracted elements. The members agree above the top bit t of
+    B[lo] ^ B[hi-1], so each element above t is in all of them or in none, a
+    coloop or a loop of the state, while t, in B[hi-1] but not in B[lo], is
+    neither: a valid branch element. The members holding t are those from
+    B[hi-1] & -t on, so the delete and contract halves are the two sides of
+    one bisection, each a slice again. A one-basis slice is a leaf: it adds
+    one to the coefficient of x^(r - #contracted) * y^(n - r - #deleted),
+    keyed (n + 1) * i + j for x^i * y^j. 2|B| - 1 states, and no memo."""
+    bases, n, r = matroid.basis_masks, matroid.n, matroid.rank
+    w = n + 1
+    leaves: dict[int, int] = {}
+    stack = [(0, len(bases), w * r + n - r)]
     while stack:
-        ground, bases = stack.pop()
-        union = 0
-        inter = ground
-        for b in bases:
-            union |= b
-            inter &= b
-        rest = union & ~inter
-        if rest == 0:
-            key = (inter.bit_count(), (ground & ~union).bit_count())
-            leaves[key] = leaves.get(key, 0) + 1
-            continue
-        bit = rest & -rest
-        stack.append((ground ^ bit, [b ^ bit for b in bases if b & bit]))
-        stack.append((ground ^ bit, [b for b in bases if not b & bit]))
-    return BivarPoly(leaves)
+        lo, hi, key = stack.pop()
+        while hi - lo > 1:  # push the delete half, walk on into the contract half
+            last = bases[hi - 1]
+            top = 1 << (bases[lo] ^ last).bit_length() - 1
+            mid = bisect_left(bases, last & -top, lo, hi)
+            stack.append((lo, mid, key - 1))
+            lo, key = mid, key - w
+        leaves[key] = leaves.get(key, 0) + 1
+    return BivarPoly((divmod(key, w), c) for key, c in leaves.items())
 
 
 def tutte_evaluate(matroid: Matroid, x: int, y: int) -> int:

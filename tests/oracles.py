@@ -430,6 +430,32 @@ def brute_max_basis_weight(m: Matroid, weights) -> object:
 # -- tutte -------------------------------------------------------------------------
 
 
+def tutte_by_deletion_contraction(m: Matroid):
+    """Tutte polynomial by deletion-contraction on the smallest element that
+    is neither a loop nor a coloop, each state a (ground, bases) pair with
+    its own list of bases. A state that is all coloops and loops is a leaf
+    and counts once towards x^(#coloops) * y^(#loops)."""
+    from matroidkit import BivarPoly
+
+    leaves: dict[tuple[int, int], int] = {}
+    stack = [((1 << m.n) - 1, list(m.basis_masks))]
+    while stack:
+        ground, bases = stack.pop()
+        union, inter = 0, ground
+        for b in bases:
+            union |= b
+            inter &= b
+        rest = union & ~inter
+        if rest == 0:
+            key = (inter.bit_count(), (ground & ~union).bit_count())
+            leaves[key] = leaves.get(key, 0) + 1
+            continue
+        bit = rest & -rest
+        stack.append((ground ^ bit, [b ^ bit for b in bases if b & bit]))
+        stack.append((ground ^ bit, [b for b in bases if not b & bit]))
+    return BivarPoly(leaves)
+
+
 def tutte_by_corank_nullity(m: Matroid):
     """Tutte polynomial as Whitney's rank generating function, the sum over
     every subset S of (x - 1)^(r - r(S)) (y - 1)^(|S| - r(S)), with r(S) from

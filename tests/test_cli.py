@@ -708,6 +708,15 @@ def test_components_of_many_parts_within_budget(tmp_path):
     assert all(p == {"format": "matroid-v1", "n": 1, "bases": [[0]]} for p in parts[1:])
 
 
+def test_tutte_eval_of_a_wide_uniform_matroid_within_budget(tmp_path):
+    """U(2, 400), 79,800 bases: T(2, 2) counts every subset of the 400 elements."""
+    path = tmp_path / "u2_400.json"
+    path.write_text(json.dumps(dump_matroid(uniform_matroid(2, 400))))
+    proc = _fresh_cli("tutte-eval", "--x", "2", "--y", "2", str(path))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == f"{2**400}\n"
+
+
 def test_isomorphic_steiner_triple_systems_within_budget(tmp_path):
     """Two relabelings of the cyclic STS(13) matroid: uniform pair counts
     leave the search to its per-basis check."""

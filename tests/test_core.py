@@ -96,6 +96,19 @@ def test_bases_deduplicated():
     assert len(Matroid(4, [[0, 1], [1, 0], [0, 2]]).bases) == 2
 
 
+def test_construction_refuses_a_repeated_index():
+    """A repeat would shrink its basis silently; the CLI loader says the same."""
+    with pytest.raises(ValueError, match=r"^basis \[0, 0\] repeats an index$"):
+        Matroid(3, [[0, 0]])
+    with pytest.raises(ValueError, match=r"^basis \(0, 1, 1\) repeats an index$"):
+        Matroid(3, [[0, 1], (0, 1, 1)])
+    with pytest.raises(ValueError, match="equicardinal"):
+        Matroid(3, [[0, 1], [2, 2]])
+    m = Matroid(3, (iter(b) for b in [[1, 0], [2, 1]]))  # single-use iterables
+    assert m.basis_masks == (0b011, 0b110)
+    assert Matroid(3, [GroundSubset(0b101, 3), [1, 0]]).basis_masks == (0b011, 0b101)
+
+
 def test_bases_are_equal_on_repeated_calls():
     m = graphic_matroid(complete_graph(4))
     first = m.bases

@@ -1,14 +1,17 @@
 import time
+from math import comb
 from random import Random
 
 from matroidkit import (
     BivarPoly,
+    Matroid,
     UnivarPoly,
     chromatic_polynomial,
     complete_graph,
     direct_sum,
     dual,
     graph_from_edges,
+    graphic_matroid,
     tutte_evaluate,
     tutte_polynomial,
     uniform_matroid,
@@ -18,6 +21,7 @@ from oracles import (
     random_matroid,
     tutte_by_activities,
     tutte_by_corank_nullity,
+    tutte_by_deletion_contraction,
 )
 
 
@@ -31,8 +35,6 @@ def test_bivar_poly_arithmetic():
 
 
 def test_tutte_single_coloop():
-    from matroidkit import Matroid
-
     assert tutte_polynomial(Matroid(1, [[0]])) == BivarPoly.monomial(1, 0)
 
 
@@ -89,6 +91,89 @@ def test_tutte_matches_the_corank_nullity_expansion():
     for _ in range(25):
         m = random_matroid(rng, max_n=9)
         assert tutte_polynomial(m) == tutte_by_corank_nullity(m)
+
+
+def _relabeled(m: Matroid, rng: Random) -> Matroid:
+    perm = list(range(m.n))
+    rng.shuffle(perm)
+    return Matroid(m.n, [[perm[e] for e in b.indices()] for b in m.bases])
+
+
+def _with_loops_and_coloops(m: Matroid, loops: int, coloops: int) -> Matroid:
+    """m with loops before its elements and coloops after them."""
+    return direct_sum(direct_sum(uniform_matroid(0, loops), m), uniform_matroid(coloops, coloops))
+
+
+def test_basis_masks_ascend_strictly():
+    """The walk reads each state as a slice of the stored masks, so they must
+    ascend strictly however the bases were given."""
+    rng = Random(11)
+    for _ in range(60):
+        m = random_matroid(rng, max_n=8)
+        given = [list(b.indices())[::-1] for b in m.bases] * 2
+        rng.shuffle(given)
+        for built in (m, dual(m), _relabeled(m, rng), Matroid(m.n, given)):
+            masks = built.basis_masks
+            assert all(a < b for a, b in zip(masks, masks[1:]))
+        assert Matroid(m.n, given).basis_masks == m.basis_masks
+
+
+def test_tutte_walk_matches_the_oracles():
+    """The walk branches on the labels' top differing bit, so each seeded
+    matroid is also checked under a shuffled labelling, and with loops and
+    coloops added at either end of the labels (the dual swaps the ends)."""
+    rng = Random(19)
+    for _ in range(40):
+        m = random_matroid(rng, max_n=7)
+        t = tutte_by_deletion_contraction(m)
+        assert t == tutte_by_activities(m) == tutte_by_corank_nullity(m)
+        assert tutte_polynomial(m) == t
+        assert tutte_polynomial(_relabeled(m, rng)) == t
+        loops, coloops = rng.randint(0, 2), rng.randint(0, 2)
+        padded = _with_loops_and_coloops(m, loops, coloops)
+        padded_t = tutte_by_deletion_contraction(padded)
+        assert padded_t == tutte_by_activities(padded) == t * BivarPoly.monomial(coloops, loops)
+        for copy in (padded, _relabeled(padded, rng), dual(padded)):
+            assert tutte_polynomial(copy) == tutte_by_deletion_contraction(copy)
+
+
+def test_tutte_of_one_basis_matroids():
+    for n in range(7):
+        assert tutte_polynomial(uniform_matroid(0, n)) == BivarPoly.monomial(0, n)
+        assert tutte_polynomial(uniform_matroid(n, n)) == BivarPoly.monomial(n, 0)
+        m = Matroid(n, [range(0, n, 2)])
+        assert tutte_polynomial(m) == tutte_by_deletion_contraction(m)
+
+
+def test_tutte_of_mk6_matches_the_oracles():
+    m = graphic_matroid(complete_graph(6))
+    t = tutte_polynomial(m)
+    assert t == tutte_by_deletion_contraction(m) == tutte_by_activities(m)
+    assert t.evaluate(1, 1) == 1296  # Cayley: 6^4 spanning trees
+    assert tutte_polynomial(_relabeled(m, Random(6))) == t
+
+
+def uniform_tutte(r: int, n: int) -> BivarPoly:
+    """T(U(r, n)) for 0 < r < n: the sum over i = 1..r of C(n - i - 1, n - r - 1) x^i
+    and over j = 1..n - r of C(n - j - 1, r - 1) y^j."""
+    xs = {(i, 0): comb(n - i - 1, n - r - 1) for i in range(1, r + 1)}
+    ys = {(0, j): comb(n - j - 1, r - 1) for j in range(1, n - r + 1)}
+    return BivarPoly({**xs, **ys})
+
+
+def test_tutte_of_uniform_matroids_matches_the_closed_form():
+    for n in range(1, 13):
+        for r in range(1, n):
+            assert tutte_polynomial(uniform_matroid(r, n)) == uniform_tutte(r, n), (r, n)
+
+
+def test_tutte_of_a_wide_uniform_matroid():
+    """U(2, 400): 79,800 bases, 159,599 states."""
+    start = time.perf_counter()
+    t = tutte_polynomial(uniform_matroid(2, 400))
+    assert time.perf_counter() - start < 2
+    assert t == uniform_tutte(2, 400)
+    assert t.evaluate(1, 1) == comb(400, 2)
 
 
 def test_chromatic_k5():
