@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence
 
 
 def mask_from_indices(indices: Iterable[int], n: int) -> int:
@@ -152,6 +153,15 @@ class GroundSubset(Frozen):
         return f"GroundSubset({{{inner}}}, n={self.n})"
 
 
-# the slot setters, which skip the frozen __setattr__ on the hot constructor
+# the slot setters, which skip the frozen __setattr__ on the hot constructors
 _set_bits = GroundSubset.bits.__set__
 _set_n = GroundSubset.n.__set__
+
+
+def _subsets_of(masks: Sequence[int], n: int) -> list[GroundSubset]:
+    """GroundSubsets of masks already known to lie in [0, 2^n), built without
+    __init__'s range checks: any() runs each slot setter, which returns None."""
+    subsets = list(map(object.__new__, repeat(GroundSubset, len(masks))))
+    any(map(_set_bits, subsets, masks))
+    any(map(_set_n, subsets, repeat(n)))
+    return subsets

@@ -468,18 +468,25 @@ def test_flats_answer_on_invalid_families():
 
 
 def test_flat_order_key_matches_the_element_tuples():
-    """Flats, circuits and hyperplanes are sorted by one string key; it orders
-    sets as their ascending element tuples do, and by size first as
-    `canon_key` does, on seeded random sets up to n = 70, with long shared
-    prefixes, single elements and the empty set among them."""
+    """Flats, circuits and hyperplanes are sorted by one integer key, made
+    byte by byte; it orders sets as their ascending element tuples do, and by
+    size first as `canon_key` does, on seeded random sets for n = 0 to 130,
+    across every byte boundary up to 128/129. Long shared prefixes, runs of
+    the elements right after a prefix (which tie in the key), single
+    elements, the full set and the empty set are among them."""
     rng = Random(17)
-    for n in range(1, 71):
-        masks = {rng.getrandbits(n) for _ in range(40)} | {0, 1, 1 << (n - 1)}
-        masks |= {m ^ 1 << rng.randrange(n) for m in list(masks)}
+    for n in range(131):
+        masks = {rng.getrandbits(n) for _ in range(40)} | {0, (1 << n) - 1}
+        if n:
+            masks |= {1, 1 << (n - 1)}
+            masks |= {m ^ 1 << rng.randrange(n) for m in list(masks)}
+            cuts = (sorted((rng.randrange(n + 1), rng.randrange(n + 1))) for _ in list(masks))
+            masks |= {m & (1 << i) - 1 | (1 << j) - (1 << i) for m, (i, j) in zip(list(masks), cuts)}
         got = [s.bits for s in _in_order(masks, n)]
         assert got == sorted(masks, key=lambda m: canon_key(m)[1])
         got = [s.bits for s in _in_order(masks, n, by_size=True)]
         assert got == sorted(masks, key=canon_key)
+        assert all(s.n == n for s in _in_order(masks, n))
 
 
 def test_canon_key_orders_by_size_then_elements():

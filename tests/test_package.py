@@ -21,6 +21,7 @@ from matroidkit import (
     MinorWitness,
     PolytopeVertices,
 )
+from matroidkit.subsets import _subsets_of
 
 PUBLIC = [
     "BivarPoly",
@@ -136,10 +137,11 @@ ISO = IsoWitness((0, 1))
 MINOR = MinorWitness(GroundSubset.of([0], 3), GroundSubset.empty(3), ISO)
 
 # one value of each class, the same value built again, a different value of
-# the same class, and the repr the value had as a frozen dataclass
+# the same class, and the repr the value had as a frozen dataclass; the
+# GroundSubset is built as the queries build theirs, without __init__
 VALUES = [
     (
-        GroundSubset.of([0, 2], 4),
+        _subsets_of([0b101], 4)[0],
         GroundSubset(0b101, 4),
         GroundSubset(0b101, 5),
         "GroundSubset({0, 2}, n=4)",

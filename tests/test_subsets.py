@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from matroidkit import GroundSubset
-from matroidkit.subsets import classes, iter_bits, mask_from_indices
+from matroidkit.subsets import _subsets_of, classes, iter_bits, mask_from_indices
 
 
 def test_construction_and_indices():
@@ -44,6 +44,8 @@ def test_empty_and_full():
     assert len(GroundSubset.empty(5)) == 0
     assert GroundSubset.full(5).indices() == (0, 1, 2, 3, 4)
     assert GroundSubset.empty(0).bits == 0
+    assert _subsets_of([0, 7], 3) == [GroundSubset.empty(3), GroundSubset.full(3)]
+    assert _subsets_of([], 3) == []
 
 
 @given(st.sets(st.integers(0, 15)), st.just(16))
