@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from .core import Matroid, SubsetLike, _fundamental_circuits, as_mask
 from .subsets import classes, iter_bits, mask_from_indices
 
-# linalg and transform load only with the one constructor that uses each
+# graphs, linalg and transform load only with the one function that uses each
 if TYPE_CHECKING:
     from .graphs import Graph
     from .linalg import ExactMatrix
@@ -158,30 +158,15 @@ def matroid_from_nonbases(
 def graphic_matroid(graph: Graph) -> Matroid:
     """Matroid on the edges of a graph whose circuits are the simple cycles.
 
-    The blocks come from the graph alone: a breadth-first spanning forest,
-    each other edge joined to the forest edges on the path between its ends.
-    A basis is one spanning tree per block, so a bridge lies in every basis,
+    The blocks come from the graph alone, from the one block pass that cycle
+    enumeration shares, `graphs._blocks`. A basis is one spanning tree per
+    block, so a bridge lies in every basis,
     and the generator runs once per other block: an edge extends a forest
     when its ends lie in different components. The state is a string with one
     component label per vertex, so joining two components is one str.replace."""
-    ends, v, adj, index = graph.edges, graph.v, graph.adjacency(), graph.edge_index()
-    depth, up = [-1] * v, [(0, 0)] * v  # up[y]: y's parent in the forest, and the edge to it
-    for root in range(v):
-        if depth[root] < 0:
-            depth[root], level = 0, [root]
-            for x in level:  # breadth first: the list grows while it is read
-                for y in adj[x]:
-                    if depth[y] < 0:
-                        depth[y], up[y] = depth[x] + 1, (x, index[min(x, y), max(x, y)])
-                        level.append(y)
-    pairs = []
-    for e, (a, b) in enumerate(ends):
-        while a != b:  # up the forest path between the ends; a tree edge meets itself
-            if depth[a] < depth[b]:
-                a, b = b, a
-            a, t = up[a]
-            pairs.append((e, t))
-    blocks, start = classes(len(ends), pairs), "".join(map(chr, range(v)))
+    from .graphs import _blocks
+    ends = graph.edges
+    blocks, start = _blocks(graph), "".join(map(chr, range(graph.v)))
     masks = [sum(k for k in blocks if k & k - 1 == 0)]
     for es in (list(iter_bits(k)) for k in blocks if k & k - 1):
         sides = [ends[e] for e in es]

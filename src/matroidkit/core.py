@@ -194,7 +194,7 @@ class Matroid:
         stride slice of byte e // 8, read as binary digits of bit e % 8."""
         if self._cols is None:
             w = (self.n + 7) >> 3
-            packed = b"".join(b.to_bytes(w, "little") for b in self._masks)
+            packed = b"".join(map(int.to_bytes, self._masks, repeat(w), repeat("little")))
             digits = (packed[e >> 3 :: w].translate(_DIGITS[e & 7]) for e in range(self.n))
             self._cols = [int(d[::-1], 2) for d in digits]
         return self._cols

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Container, Iterable, Iterator
 
-from .subsets import Frozen, GroundSubset, classes
+from .subsets import Frozen, GroundSubset, classes, iter_bits
 
 
 class Graph(Frozen):
@@ -99,10 +99,10 @@ def generalized_petersen(n: int, k: int) -> Graph:
 
 
 def _closed_walks(
-    adj: list[list[int]], anchor: int, alive: list[bool], limit: int
+    adj: list[list[int]], anchor: int, alive: Container[int], limit: int
 ) -> Iterator[tuple[int, ...]]:
     """Closed walks of 3 to limit edges from anchor back to it through distinct
-    alive vertices above it, in depth-first order over the sorted neighbour
+    vertices of alive above it, in depth-first order over the sorted neighbour
     lists. Each cycle comes once per orientation, and the walks are yielded, so
     a caller that keeps one orientation never holds both."""
     path = [anchor]
@@ -114,7 +114,7 @@ def _closed_walks(
             if w == anchor:
                 if len(path) >= 3:
                     yield (*path, anchor)
-            elif w > anchor and alive[w] and not on[w] and len(path) < limit:
+            elif w > anchor and w in alive and not on[w] and len(path) < limit:
                 on[w] = True
                 path.append(w)
                 nbrs.append(iter(adj[w]))
@@ -135,44 +135,58 @@ def closed_walks(graph: Graph, v: int, length: int) -> list[tuple[int, ...]]:
         raise ValueError(f"vertex {v} out of range")
     if length < 3:
         raise ValueError("closed walks need length at least 3")
-    walks = _closed_walks(graph.adjacency(), v, [True] * graph.v, length)
+    walks = _closed_walks(graph.adjacency(), v, range(graph.v), length)
     return [w for w in walks if len(w) == length + 1]
+
+
+def _blocks(graph: Graph) -> list[int]:
+    """Edge masks of the blocks, bridges included, in order of their least
+    edge: each edge joined to the edges on the path between its ends in a
+    breadth-first spanning forest (Krogdahl, Discrete Math. 1977)."""
+    ends, v = graph.edges, graph.v
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(v)]  # adj[x]: (y, edge xy)
+    for e, (a, b) in enumerate(ends):
+        adj[a].append((b, e))
+        adj[b].append((a, e))
+    depth, up = [-1] * v, [(0, 0)] * v  # up[y]: y's parent in the forest, and the edge to it
+    for root in range(v):
+        if depth[root] < 0:
+            depth[root], level = 0, [root]
+            for x in level:  # breadth first: the list grows while it is read
+                for y, e in adj[x]:
+                    if depth[y] < 0:
+                        depth[y], up[y] = depth[x] + 1, (x, e)
+                        level.append(y)
+    pairs = []
+    for e, (a, b) in enumerate(ends):
+        while a != b:  # up the forest path between the ends; a tree edge meets itself
+            if depth[a] < depth[b]:
+                a, b = b, a
+            a, t = up[a]
+            pairs.append((e, t))
+    return classes(len(ends), pairs)
 
 
 def get_cycles(graph: Graph) -> list[Cycle]:
     """Enumerate every simple cycle exactly once.
 
-    Each cycle is found from its minimum vertex only (the search never walks
-    below the anchor), and the two orientations are identified by keeping the
-    walk whose second vertex is smaller than its second-to-last. Vertices of
-    degree <= 1 are pruned iteratively first since they lie on no cycle.
+    A cycle lies in one block, so the search runs per block of two or more
+    edges through that block's vertices alone: two blocks share at most one
+    vertex, so a walk cannot leave its block. Each cycle is found from its
+    minimum vertex only (the search never walks below the anchor), and the two
+    orientations are identified by keeping the walk whose second vertex is
+    smaller than its second-to-last.
     """
-    adj = graph.adjacency()
-    alive = [True] * graph.v
-    deg = [len(adj[u]) for u in range(graph.v)]
-    stack = [u for u in range(graph.v) if deg[u] <= 1]
-    while stack:
-        u = stack.pop()
-        if not alive[u]:
-            continue
-        alive[u] = False
-        for w in adj[u]:
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] <= 1:
-                    stack.append(w)
-
-    eindex = graph.edge_index()
-    m = len(graph.edges)
+    adj, eindex, m = graph.adjacency(), graph.edge_index(), len(graph.edges)
     cycles = []
-    for anchor in range(graph.v):
-        if not alive[anchor]:
-            continue
-        for seq in _closed_walks(adj, anchor, alive, graph.v):
-            if seq[1] < seq[-2]:
-                # a cycle passes each of its edges once, so the sum is the union
-                mask = sum(1 << eindex[(u, w) if u < w else (w, u)] for u, w in zip(seq, seq[1:]))
-                cycles.append(Cycle(GroundSubset(mask, m), seq))
+    for block in (b for b in _blocks(graph) if b & b - 1):  # bridges lie on no cycle
+        alive = {u for e in iter_bits(block) for u in graph.edges[e]}
+        for anchor in alive:
+            for seq in _closed_walks(adj, anchor, alive, len(alive)):
+                if seq[1] < seq[-2]:
+                    # a cycle passes each of its edges once, so the sum is the union
+                    mask = sum(1 << eindex[(u, w) if u < w else (w, u)] for u, w in zip(seq, seq[1:]))
+                    cycles.append(Cycle(GroundSubset(mask, m), seq))
     cycles.sort(key=lambda c: (len(c.vertex_sequence), c.vertex_sequence))
     return cycles
 

@@ -511,6 +511,23 @@ def tutte_by_activities(m: Matroid):
     return BivarPoly(terms)
 
 
+def characteristic_by_moebius(m: Matroid) -> list[int]:
+    """Characteristic polynomial, lowest degree first, as the sum over the
+    flats F of mu(cl(empty), F) * t^(r - r(F)) (Rota 1964), with mu the Moebius
+    function of the lattice of flats: mu(F) = -(sum of mu(G) over the flats G
+    strictly below F). It is 0 when M has a loop. Flats of equal rank are never
+    nested, so each level sums over the levels below it."""
+    levels = m.flats()
+    if levels[0][0].bits:
+        return [0] * (m.rank + 1)
+    mu, by_rank = {0: 1}, [1]
+    for level in levels[1:]:
+        found = {f.bits: -sum(v for g, v in mu.items() if g & ~f.bits == 0) for f in level}
+        mu.update(found)
+        by_rank.append(sum(found.values()))
+    return by_rank[::-1]
+
+
 # -- linear algebra ----------------------------------------------------------------
 
 
@@ -711,6 +728,28 @@ def random_graph(rng: Random, max_v: int = 5) -> Graph:
     v = rng.randint(2, max_v)
     edges = [e for e in combinations(range(v), 2) if rng.random() < 0.6]
     return graph_from_edges(v, edges)
+
+
+def glued_graphs(count: int = 150, max_edges: int = 12):
+    """Graphs on at most max_edges edges glued from cycles, K4s and single edges.
+    Each piece starts at a vertex already placed, a cut vertex, or at a new
+    vertex, which starts another connected component; a few vertices stay
+    isolated."""
+    rng = Random(31)
+    for _ in range(count):
+        v, edges, target = 1, [], rng.randint(3, max_edges - 1)
+        while len(edges) < target:
+            at = rng.randrange(v) if rng.random() < 0.8 else v
+            size = rng.choice((2, 3, 4, 5, 4))  # 2: a single edge, 4: a K4 or a 4-cycle
+            ring = [at] + list(range(v + (at == v), v + (at == v) + size - 1))
+            v = ring[-1] + 1
+            if size == 4 and rng.random() < 0.5:
+                edges += combinations(ring, 2)
+            else:
+                edges += [(ring[i - 1], ring[i]) for i in range(1 if size == 2 else 0, size)]
+        order = edges[:max_edges]
+        rng.shuffle(order)
+        yield graph_from_edges(v + rng.randint(0, 2), order)
 
 
 def invalid_families(seed: int, count: int, max_n: int = 8) -> list[Matroid]:

@@ -36,6 +36,7 @@ from oracles import (
     brute_is_valid,
     brute_matrix_rank,
     circuit_family,
+    glued_graphs,
     is_independent,
     random_matroid,
 )
@@ -148,28 +149,6 @@ def seeded_graphs(count=200):
         edges = [e for e in combinations(range(v), 2) if rng.random() < density]
         rng.shuffle(edges)
         yield graph_from_edges(v, edges[:12])
-
-
-def glued_graphs(count=150):
-    """Graphs on at most 12 edges glued from cycles, K4s and single edges.
-    Each piece starts at a vertex already placed, a cut vertex, or at a new
-    vertex, which starts another connected component; a few vertices stay
-    isolated."""
-    rng = Random(31)
-    for _ in range(count):
-        v, edges, target = 1, [], rng.randint(3, 11)
-        while len(edges) < target:
-            at = rng.randrange(v) if rng.random() < 0.8 else v
-            size = rng.choice((2, 3, 4, 5, 4))  # 2: a single edge, 4: a K4 or a 4-cycle
-            ring = [at] + list(range(v + (at == v), v + (at == v) + size - 1))
-            v = ring[-1] + 1
-            if size == 4 and rng.random() < 0.5:
-                edges += combinations(ring, 2)
-            else:
-                edges += [(ring[i - 1], ring[i]) for i in range(1 if size == 2 else 0, size)]
-        order = edges[:12]
-        rng.shuffle(order)
-        yield graph_from_edges(v + rng.randint(0, 2), order)
 
 
 def test_graphic_matroid_matches_forest_oracle():

@@ -161,6 +161,7 @@ def test_equality_ignores_labels(running_example):
     unlabeled = Matroid(4, [[0, 1], [0, 2]])
     assert running_example == unlabeled
     assert hash(running_example) == hash(unlabeled)
+    assert repr(running_example) == "Matroid(n=4, rank=2, bases=2)"
 
 
 def test_equality_roundtrips(running_example, u24):

@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -10,8 +15,11 @@ from matroidkit import (
     generalized_petersen,
     get_cycles,
     graph_from_edges,
+    graphic_matroid,
 )
-from oracles import _count_components, brute_cycle_count, random_graph
+from matroidkit.construct import _parts
+from matroidkit.graphs import _blocks
+from oracles import _count_components, brute_cycle_count, glued_graphs, random_graph
 
 
 def triangle():
@@ -170,3 +178,50 @@ def test_component_count_matches_the_search_oracle():
     assert sum(1 for g in graphs if len({u for e in g.edges for u in e}) < g.v) > 100
     for g in graphs:
         assert component_count(g) == _count_components(g.v, g.edges)
+
+
+def block_chain(k: int, copies: int):
+    """copies of K_k in a row, each sharing its first vertex with the last
+    vertex of the one before, so every shared vertex is a cut vertex."""
+    step = k - 1
+    pairs = list(combinations(range(k), 2))
+    return graph_from_edges(step * copies + 1, [(i * step + a, i * step + b) for i in range(copies) for a, b in pairs])
+
+
+def test_cycles_of_block_chains_within_budget():
+    """Each block is searched with only its own vertices alive, so a chain of
+    blocks costs the sum of its blocks: no walk crosses a cut vertex into a
+    later block. 40 triangles give 40 cycles, six K5s 6 * 37."""
+    triangles = block_chain(3, 40)
+    doc = {"format": "graph-v1", "v": triangles.v, "edges": [list(e) for e in triangles.edges]}
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "matroidkit.cli", "cycles", "-"],
+        input=json.dumps(doc), env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 0 and json.loads(proc.stdout)["count"] == 40
+    assert len(get_cycles(triangles)) == 40
+    assert len(get_cycles(block_chain(5, 6))) == 222
+
+
+def test_blocks_are_the_components_of_the_graphic_matroid():
+    """Two derivations of the blocks: forest paths in the graph, and basis
+    exchanges in its graphic matroid (Krogdahl's fundamental graph). A merged
+    block shows here; a split one would give wrong bases, which the forest
+    oracle in test_construct catches."""
+    graphs = list(glued_graphs(200))
+    blocks = [_blocks(g) for g in graphs]
+    assert blocks == [_parts(graphic_matroid(g)) for g in graphs]
+    assert sum(1 for bs in blocks if any(b & b - 1 == 0 for b in bs)) > 60  # a bridge
+    assert sum(1 for bs in blocks if sum(b & b - 1 > 0 for b in bs) > 1) > 100  # two blocks with cycles
+    assert sum(1 for g in graphs if len({u for e in g.edges for u in e}) < g.v) > 100  # isolated
+
+
+def test_cycles_are_the_circuits_of_the_graphic_matroid():
+    """Multi-block graphs beyond the n <= 8 that the brute-force cycle count reaches."""
+    graphs = [g for g in glued_graphs(60, max_edges=24) if len(g.edges) > 12 and len(_blocks(g)) > 1]
+    assert len(graphs) > 30
+    for g in graphs:
+        assert sorted(c.edge_indices.bits for c in get_cycles(g)) == sorted(
+            c.bits for c in graphic_matroid(g).circuits()
+        )

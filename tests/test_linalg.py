@@ -124,6 +124,10 @@ def test_matrix_rank_depends_on_field():
     assert ExactMatrix(grid, field=2).rank() == 1
     assert ExactMatrix([[1, 1, 0], [-1, -1, 0]], field=3).rank() == 1
     assert ExactMatrix([], field=3, cols=3).rank() == 0
+    assert ExactMatrix(grid) == ExactMatrix([[1, 1, 0], [1, -1, 0]])
+    assert ExactMatrix(grid) != ExactMatrix(grid, field=2) and ExactMatrix(grid) != grid
+    assert repr(ExactMatrix(grid)) == "ExactMatrix(2x3 over QQ)"
+    assert repr(ExactMatrix(grid, field=2)) == "ExactMatrix(2x3 over GF(2))"
 
 
 def test_field_changes_rank():

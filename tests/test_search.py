@@ -62,6 +62,9 @@ def test_isomorphism_identity_fast_path(running_example):
 
 def test_isomorphism_rejects_mismatch(running_example, u24):
     assert isomorphism(running_example, u24) is None
+    # same n, rank and basis count; the degree screen tells them apart (3, 1, 1, 1 against 2, 2, 2, 0)
+    star, triangle = Matroid(4, [[0, 1], [0, 2], [0, 3]]), Matroid(4, [[0, 1], [0, 2], [1, 2]])
+    assert isomorphism(star, triangle) is None and isomorphism(triangle, star) is None
 
 
 def test_isomorphism_symmetric(running_example):

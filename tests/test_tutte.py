@@ -18,6 +18,8 @@ from matroidkit import (
 )
 from oracles import (
     brute_coloring_count,
+    characteristic_by_moebius,
+    random_linear_matroid,
     random_matroid,
     tutte_by_activities,
     tutte_by_corank_nullity,
@@ -32,6 +34,7 @@ def test_bivar_poly_arithmetic():
     assert p.coeff(2, 0) == 1 and p.coeff(1, 1) == 2 and p.coeff(0, 2) == 1
     assert p.evaluate(2, 3) == 25
     assert BivarPoly({(0, 0): 0}) == BivarPoly()
+    assert hash(p) == hash(x * x + BivarPoly.monomial(1, 1, 2) + y * y) != hash(x + y)
 
 
 def test_tutte_single_coloop():
@@ -153,6 +156,33 @@ def test_tutte_of_mk6_matches_the_oracles():
     assert tutte_polynomial(_relabeled(m, Random(6))) == t
 
 
+def _characteristic_from_tutte(m: Matroid) -> list[int]:
+    """(-1)^r T(1 - t, 0), lowest degree first: the coefficient of t^k gathers
+    t_(i,0) * C(i, k) * (-1)^k from each (1 - t)^i."""
+    t, r = tutte_polynomial(m), m.rank
+    return [(-1) ** (r + k) * sum(t.coeff(i, 0) * comb(i, k) for i in range(k, r + 1)) for k in range(r + 1)]
+
+
+def test_characteristic_polynomial_two_ways():
+    """The Tutte walk at y = 0 against the Moebius function of the lattice of
+    flats, on M(K7) and on seeded matroids past the n <= 9 that the
+    corank-nullity and activity oracles reach."""
+    mk7 = graphic_matroid(complete_graph(7))
+    falling = UnivarPoly((1,))
+    for j in range(1, 7):
+        falling = falling * UnivarPoly((-j, 1))
+    assert characteristic_by_moebius(mk7) == list(falling.coeffs) == _characteristic_from_tutte(mk7)
+    rng = Random(29)
+    copies = [_relabeled(mk7, rng), _relabeled(mk7, rng)]
+    for _ in range(30):
+        copies.append(random_matroid(rng, max_n=12))
+        copies.append(random_linear_matroid(rng, max_n=14))
+    copies.append(_with_loops_and_coloops(copies[-1], 1, 2))
+    assert sum(1 for m in copies if m.n > 9) >= 20 and any(m.loops().bits for m in copies)
+    for m in copies:
+        assert characteristic_by_moebius(m) == _characteristic_from_tutte(m)
+
+
 def uniform_tutte(r: int, n: int) -> BivarPoly:
     """T(U(r, n)) for 0 < r < n: the sum over i = 1..r of C(n - i - 1, n - r - 1) x^i
     and over j = 1..n - r of C(n - j - 1, r - 1) y^j."""
@@ -217,6 +247,9 @@ def test_univar_poly_rendering():
     assert p.factored() == "k(k - 1)(k - 2)"
     assert UnivarPoly(()).factored() == "0"
     assert UnivarPoly((5,)).render() == "5"
+    total = p + UnivarPoly((1, -2, 3, -1))  # the top terms cancel and are trimmed
+    assert total == UnivarPoly((1, 0, 0)) and total.coeffs == (1,) and total.degree == 0
+    assert p + UnivarPoly() == p and hash(total) == hash(UnivarPoly((1,)))
 
 
 def scan_factored(p: UnivarPoly) -> str:
