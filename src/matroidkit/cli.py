@@ -5,7 +5,7 @@ File formats:
   graph-v1    {"format": "graph-v1", "v": int, "edges": [[int, int]]}
               or plain text: first line "v m", then m lines "u w"
   matrix-v1   {"format": "matrix-v1", "rows": r, "cols": c, "entries": [[str]]}
-              entries are decimal integers or "a/b" rationals
+              entries are integers, or strings [+-]digits, optionally /digits
 
 Exit codes: 0 success, 1 domain error (bad input values or file contents),
 2 usage error. Boolean queries print "true"/"false" and exit 0 either way;
@@ -19,6 +19,7 @@ import argparse
 import gc
 import json
 import math
+import re
 import sys
 from typing import TYPE_CHECKING
 
@@ -41,6 +42,8 @@ MAX_ENUMERATED = 10**6
 MAX_FLATS_RANK = 18
 # The largest matroid ground set and graph vertex count the loaders and constructors accept.
 MAX_GROUND = 4096
+# A string matrix entry; Fraction() also reads exponents, and Fraction("1e19999999") takes 26 s.
+MATRIX_ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 # -- file I/O ------------------------------------------------------------------
 
@@ -58,11 +61,16 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _parse_json(text: str, expected_format: str) -> dict:
+def _loads(text: str):
+    """JSON from outside the program; malformed or too deeply nested text is a ValueError."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"malformed JSON: {exc}") from None
+
+
+def _parse_json(text: str, expected_format: str) -> dict:
+    obj = _loads(text)
     if not isinstance(obj, dict) or obj.get("format") != expected_format:
         raise ValueError(f"expected a {expected_format!r} document")
     return obj
@@ -137,6 +145,8 @@ def load_matrix(path: str, field: int | None) -> ExactMatrix:
         require_prime(field)  # so that a ValueError below is an entry's
     if not {type(e) for row in entries for e in row} <= {int, str}:
         raise ValueError("bad matrix entry: entries must be integers or strings")
+    if not all(MATRIX_ENTRY.fullmatch(e) for row in entries for e in row if type(e) is str):
+        raise ValueError("bad matrix entry: strings must be decimal integers or 'a/b' rationals")
     try:  # ExactMatrix converts each entry, once
         return ExactMatrix(entries, field=field, cols=cols)
     except (ValueError, ZeroDivisionError) as exc:
@@ -340,10 +350,7 @@ def cmd_cycles(args) -> None:
 
 def cmd_greedy(args) -> None:
     from .optimize import greedy
-    try:
-        weights = json.loads(args.weights)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"--weights must be a JSON array: {exc}") from None
+    weights = _loads(args.weights)
     # NaN compares false both ways, so it would derail the greedy order
     if not isinstance(weights, list) or not all(
         _is_int(w) or (isinstance(w, float) and not math.isnan(w)) for w in weights

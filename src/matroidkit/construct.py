@@ -3,11 +3,10 @@ named matroids, direct sums, and connected components."""
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .core import Matroid, SubsetLike, _fundamental_circuits, as_mask
-from .subsets import classes, iter_bits, mask_from_indices
+from .core import Matroid, _fundamental_circuits
+from .subsets import SubsetLike, classes, iter_bits, k_subsets, mask_from_indices
 
 # graphs, linalg and transform load only with the one function that uses each
 if TYPE_CHECKING:
@@ -39,8 +38,7 @@ def uniform_matroid(rank: int, n: int) -> Matroid:
     """U(r, n): every r-subset of the ground set is a basis."""
     if not 0 <= rank <= n:
         raise ValueError(f"uniform matroid needs 0 <= rank <= n, got ({rank}, {n})")
-    masks = [mask_from_indices(combo, n) for combo in combinations(range(n), rank)]
-    return Matroid._from_masks(n, masks)
+    return Matroid._from_masks(n, k_subsets(n, rank))
 
 
 def _bases(n: int, start, extend, bits: Sequence[int] | None = None) -> list[int]:
@@ -117,7 +115,7 @@ def matroid_from_circuits(
     """
     by_top: list[list[int]] = [[] for _ in range(n)]
     for c in circuits:
-        m = as_mask(c, n)
+        m = mask_from_indices(c, n)
         if m == 0:
             raise ValueError("the empty set cannot be a circuit")
         by_top[m.bit_length() - 1].append(m)
@@ -144,12 +142,11 @@ def matroid_from_nonbases(
         raise ValueError(f"need 0 <= rank <= n, got ({rank}, {n})")
     excluded = set()
     for s in nonbases:
-        m = as_mask(s, n)
+        m = mask_from_indices(s, n)
         if m.bit_count() != rank:
             raise ValueError(f"nonbasis of size {m.bit_count()}, expected {rank}")
         excluded.add(m)
-    candidates = (mask_from_indices(combo, n) for combo in combinations(range(n), rank))
-    masks = [m for m in candidates if m not in excluded]
+    masks = [m for m in k_subsets(n, rank) if m not in excluded]
     if not masks:
         raise ValueError("every rank-sized subset is excluded; no bases remain")
     return Matroid._from_masks(n, masks, labels)
@@ -164,9 +161,9 @@ def graphic_matroid(graph: Graph) -> Matroid:
     and the generator runs once per other block: an edge extends a forest
     when its ends lie in different components. The state is a string with one
     component label per vertex, so joining two components is one str.replace."""
-    from .graphs import _blocks
+    from .graphs import _adjacency, _blocks
     ends = graph.edges
-    blocks, start = _blocks(graph), "".join(map(chr, range(graph.v)))
+    blocks, start = _blocks(graph, _adjacency(graph)), "".join(map(chr, range(graph.v)))
     masks = [sum(k for k in blocks if k & k - 1 == 0)]
     for es in (list(iter_bits(k)) for k in blocks if k & k - 1):
         sides = [ends[e] for e in es]

@@ -6,25 +6,14 @@ from bisect import bisect_left
 from functools import reduce
 from itertools import combinations, compress, repeat
 from operator import and_, or_, rshift
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
-from .subsets import GroundSubset, _subsets_of, iter_bits, mask_from_indices
-
-SubsetLike = Union[GroundSubset, Iterable[int]]
+from .subsets import GroundSubset, SubsetLike, _subsets_of, iter_bits, k_subsets, mask_from_indices
 
 # _DIGITS[k] maps each byte to the ASCII digit of its bit k, and _REVERSED to
 # its bits in reverse order (multiply, mask, modulo 1023).
 _DIGITS = [(b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8)]
 _REVERSED = bytes((i * 0x0202020202 & 0x010884422010) % 1023 for i in range(256))
-
-
-def as_mask(subset: SubsetLike, n: int) -> int:
-    """Coerce a GroundSubset or an iterable of indices to a bitmask over n elements."""
-    if isinstance(subset, GroundSubset):
-        if subset.n != n:
-            raise ValueError(f"subset lives on {subset.n} elements, matroid has {n}")
-        return subset.bits
-    return mask_from_indices(subset, n)
 
 
 def _in_order(masks: Iterable[int], n: int, by_size: bool = False) -> tuple[GroundSubset, ...]:
@@ -101,10 +90,7 @@ class Matroid:
         except TypeError:  # a basis given as a one-pass iterable
             bases = [b if isinstance(b, GroundSubset) else tuple(b) for b in bases]
             count = sum(map(len, bases))
-        # as_mask, with its call saved on each plain index list
-        masks = [
-            as_mask(b, n) if isinstance(b, GroundSubset) else mask_from_indices(b, n) for b in bases
-        ]
+        masks = list(map(mask_from_indices, bases, repeat(n)))
         self._init_from_masks(n, masks, labels)
         if count != self._rank * len(masks):  # a repeated index leaves fewer bits than indices
             twice = next(b for b, m in zip(bases, masks) if m.bit_count() != len(b))
@@ -216,7 +202,7 @@ class Matroid:
 
     def rank_of(self, subset: SubsetLike) -> int:
         """Rank of a subset: the size of a basis of it grown greedily."""
-        return self._grow(as_mask(subset, self.n))[1]
+        return self._grow(mask_from_indices(subset, self.n))[1]
 
     def _closure_mask(self, s: int) -> int:
         alive = self._grow(s)[0]
@@ -227,16 +213,16 @@ class Matroid:
 
     def closure(self, subset: SubsetLike) -> GroundSubset:
         """Elements whose addition does not raise the rank of the subset."""
-        return GroundSubset(self._closure_mask(as_mask(subset, self.n)), self.n)
+        return GroundSubset(self._closure_mask(mask_from_indices(subset, self.n)), self.n)
 
     def is_dependent(self, subset: SubsetLike) -> bool:
-        s = as_mask(subset, self.n)
+        s = mask_from_indices(subset, self.n)
         return self._grow(s)[1] < s.bit_count()
 
     def independents(self, k: int) -> list[GroundSubset]:
         """All independent k-subsets, in lexicographic order. A k-subset is
-        independent when the AND of its columns is nonzero; the columns and
-        the single-bit masks are combined in the same combination order."""
+        independent when the AND of its columns is nonzero; the columns are
+        combined in the order in which `k_subsets` lists the sets."""
         if k < 0:
             raise ValueError("subset size must be nonnegative")
         if k > self._rank:  # every independent set lies in a basis
@@ -244,8 +230,7 @@ class Matroid:
         if k == 0:
             return [GroundSubset(0, self.n)]
         alive = map(reduce, repeat(and_), combinations(self._columns(), k))
-        masks = map(sum, combinations([1 << e for e in range(self.n)], k))
-        return _subsets_of(list(compress(masks, alive)), self.n)
+        return _subsets_of(list(compress(k_subsets(self.n, k), alive)), self.n)
 
     # -- circuits, loops, coloops --------------------------------------------
 

@@ -34,16 +34,7 @@ class Graph(Frozen):
         super().__init__(v, edges)
 
     def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.v)]
-        for u, w in self.edges:
-            adj[u].append(w)
-            adj[w].append(u)
-        for nbrs in adj:
-            nbrs.sort()
-        return adj
-
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
+        return [[y for y, _ in pairs] for pairs in _adjacency(self)]
 
 
 class Cycle(Frozen):
@@ -98,29 +89,42 @@ def generalized_petersen(n: int, k: int) -> Graph:
     return graph_from_edges(2 * n, edges)
 
 
+def _adjacency(graph: Graph) -> list[list[tuple[int, int]]]:
+    """adj[x]: the (y, index of edge xy) pairs of the neighbours y of x, by y."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.v)]
+    for e, (a, b) in enumerate(graph.edges):
+        adj[a].append((b, e))
+        adj[b].append((a, e))
+    for pairs in adj:
+        pairs.sort()
+    return adj
+
+
 def _closed_walks(
-    adj: list[list[int]], anchor: int, alive: Container[int], limit: int
-) -> Iterator[tuple[int, ...]]:
+    adj: list[list[tuple[int, int]]], anchor: int, alive: Container[int], limit: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
     """Closed walks of 3 to limit edges from anchor back to it through distinct
-    vertices of alive above it, in depth-first order over the sorted neighbour
-    lists. Each cycle comes once per orientation, and the walks are yielded, so
-    a caller that keeps one orientation never holds both."""
+    vertices of alive above it, each with its edge mask, depth first over the
+    sorted adjacency. Each cycle comes once per orientation, and the walks are
+    yielded, so a caller that keeps one orientation never holds both."""
     path = [anchor]
     on = [False] * len(adj)
-    # nbrs[k]: the untried neighbours of path[k]
-    nbrs = [iter(adj[anchor])]
+    # nbrs[k]: the untried neighbours of path[k]; masks[k]: the edges of path[: k + 1]
+    nbrs, masks = [iter(adj[anchor])], [0]
     while nbrs:
-        for w in nbrs[-1]:
+        for w, e in nbrs[-1]:
             if w == anchor:
                 if len(path) >= 3:
-                    yield (*path, anchor)
+                    yield (*path, anchor), masks[-1] | 1 << e
             elif w > anchor and w in alive and not on[w] and len(path) < limit:
                 on[w] = True
                 path.append(w)
                 nbrs.append(iter(adj[w]))
+                masks.append(masks[-1] | 1 << e)
                 break
         else:
             nbrs.pop()
+            masks.pop()
             on[path.pop()] = False
 
 
@@ -135,19 +139,15 @@ def closed_walks(graph: Graph, v: int, length: int) -> list[tuple[int, ...]]:
         raise ValueError(f"vertex {v} out of range")
     if length < 3:
         raise ValueError("closed walks need length at least 3")
-    walks = _closed_walks(graph.adjacency(), v, range(graph.v), length)
-    return [w for w in walks if len(w) == length + 1]
+    walks = _closed_walks(_adjacency(graph), v, range(graph.v), length)
+    return [w for w, _ in walks if len(w) == length + 1]
 
 
-def _blocks(graph: Graph) -> list[int]:
+def _blocks(graph: Graph, adj: list[list[tuple[int, int]]]) -> list[int]:
     """Edge masks of the blocks, bridges included, in order of their least
     edge: each edge joined to the edges on the path between its ends in a
-    breadth-first spanning forest (Krogdahl, Discrete Math. 1977)."""
+    breadth-first spanning forest over adj (Krogdahl, Discrete Math. 1977)."""
     ends, v = graph.edges, graph.v
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(v)]  # adj[x]: (y, edge xy)
-    for e, (a, b) in enumerate(ends):
-        adj[a].append((b, e))
-        adj[b].append((a, e))
     depth, up = [-1] * v, [(0, 0)] * v  # up[y]: y's parent in the forest, and the edge to it
     for root in range(v):
         if depth[root] < 0:
@@ -177,15 +177,13 @@ def get_cycles(graph: Graph) -> list[Cycle]:
     orientations are identified by keeping the walk whose second vertex is
     smaller than its second-to-last.
     """
-    adj, eindex, m = graph.adjacency(), graph.edge_index(), len(graph.edges)
+    adj, m = _adjacency(graph), len(graph.edges)
     cycles = []
-    for block in (b for b in _blocks(graph) if b & b - 1):  # bridges lie on no cycle
+    for block in (b for b in _blocks(graph, adj) if b & b - 1):  # bridges lie on no cycle
         alive = {u for e in iter_bits(block) for u in graph.edges[e]}
         for anchor in alive:
-            for seq in _closed_walks(adj, anchor, alive, len(alive)):
+            for seq, mask in _closed_walks(adj, anchor, alive, len(alive)):
                 if seq[1] < seq[-2]:
-                    # a cycle passes each of its edges once, so the sum is the union
-                    mask = sum(1 << eindex[(u, w) if u < w else (w, u)] for u, w in zip(seq, seq[1:]))
                     cycles.append(Cycle(GroundSubset(mask, m), seq))
     cycles.sort(key=lambda c: (len(c.vertex_sequence), c.vertex_sequence))
     return cycles

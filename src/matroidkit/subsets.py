@@ -2,18 +2,30 @@
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Iterable, Iterator, Sequence
+from itertools import combinations, repeat
+from typing import Iterable, Iterator, Sequence, Union
+
+SubsetLike = Union["GroundSubset", Iterable[int]]
 
 
-def mask_from_indices(indices: Iterable[int], n: int) -> int:
-    """Pack indices into a bitmask, checking the range [0, n)."""
+def mask_from_indices(subset: SubsetLike, n: int) -> int:
+    """The bitmask of a GroundSubset on n elements, or of indices checked
+    against the range [0, n): the one step from a caller's subset to a mask."""
+    if isinstance(subset, GroundSubset):
+        if subset.n != n:
+            raise ValueError(f"subset lives on {subset.n} elements, matroid has {n}")
+        return subset.bits
     mask = 0
-    for i in indices:
+    for i in subset:
         if not 0 <= i < n:
             raise ValueError(f"index {i} out of range for ground set of size {n}")
         mask |= 1 << i
     return mask
+
+
+def k_subsets(n: int, k: int) -> Iterator[int]:
+    """The k-subsets of range(n) as masks, in lexicographic order."""
+    return map(sum, combinations([1 << e for e in range(n)], k))
 
 
 def iter_bits(mask: int) -> Iterator[int]:

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import Matroid, SubsetLike, as_mask
-from .subsets import iter_bits
+from .core import Matroid
+from .subsets import SubsetLike, iter_bits, mask_from_indices
 
 
 def dual(matroid: Matroid) -> Matroid:
@@ -62,23 +62,23 @@ def _minor(matroid: Matroid, x: int, y: int) -> Matroid:
 def restriction(matroid: Matroid, subset: SubsetLike) -> Matroid:
     """Restrict to a subset S, re-indexed densely to 0..|S|-1, labels carried
     over: the bases are the intersections B & S of size r(S)."""
-    return _minor(matroid, 0, matroid._full() & ~as_mask(subset, matroid.n))
+    return _minor(matroid, 0, matroid._full() & ~mask_from_indices(subset, matroid.n))
 
 
 def deletion(matroid: Matroid, subset: SubsetLike) -> Matroid:
-    return _minor(matroid, 0, as_mask(subset, matroid.n))
+    return _minor(matroid, 0, mask_from_indices(subset, matroid.n))
 
 
 def contraction(matroid: Matroid, subset: SubsetLike) -> Matroid:
     """Contract a subset X: the bases are B - X over the bases B that contain
     a basis of X, re-indexed densely over E - X, labels carried over."""
-    return _minor(matroid, as_mask(subset, matroid.n), 0)
+    return _minor(matroid, mask_from_indices(subset, matroid.n), 0)
 
 
 def minor(matroid: Matroid, contract: SubsetLike, delete: SubsetLike) -> Matroid:
     """The minor (M / X) \\ Y with both X and Y given in M's own indices."""
-    x = as_mask(contract, matroid.n)
-    y = as_mask(delete, matroid.n)
+    x = mask_from_indices(contract, matroid.n)
+    y = mask_from_indices(delete, matroid.n)
     if x & y:
         raise ValueError("contract and delete sets overlap")
     return _minor(matroid, x, y)

@@ -11,7 +11,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matroidkit import cli, complete_graph, graphic_matroid, uniform_matroid
@@ -669,6 +669,15 @@ def test_wide_rational_matrices_are_refused_within_budget(tmp_path, rows):
     assert f"C({MAX_GROUND}, " in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_exponent_matrix_entry_is_refused_at_once(tmp_path):
+    """Fraction("1e19999999") alone would take about half a minute."""
+    path = _matrix_file(tmp_path, [["1", "1e19999999"]])
+    message = "error: bad matrix entry: strings must be decimal integers or 'a/b' rationals\n"
+    for field in ("q", "p:2"):
+        proc = _fresh_cli("linear", "--field", field, path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
+
+
 def test_linear_rank_guard_reads_the_final_rank(capsys, tmp_path):
     """A 40 x 40 matrix of rank 10 is refused on its final rank, C(40, 10),
     and one of rank 2 is built, its 780 candidates under the limit."""
@@ -786,14 +795,19 @@ def test_exit_codes(capsys, tmp_path):
         ("linear", {"format": "matrix-v1", "rows": 1, "cols": 1, "entries": [[True]]}),
         ("info", {"format": "matroid-v1", "n": 3, "bases": [[0, 0]]}),
         ("info", {"format": "matroid-v1", "n": 3, "bases": [[0, 1], [0, 1, 1]]}),
+        # Fraction() would read the first three, and int() the third
+        ("linear", {"format": "matrix-v1", "rows": 1, "cols": 2, "entries": [["1", "1.5"]]}),
+        ("linear", {"format": "matrix-v1", "rows": 1, "cols": 2, "entries": [["1e3", "1"]]}),
+        ("linear", {"format": "matrix-v1", "rows": 1, "cols": 2, "entries": [["1_000", "1"]]}),
+        ("linear", {"format": "matrix-v1", "rows": 1, "cols": 2, "entries": [["1", "2/0"]]}),
     ],
 )
 def test_malformed_documents_exit_1(capsys, tmp_path, command, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    extra = ["--field", "q"] if command == "linear" else []
-    code, out, err = invoke(capsys, command, *extra, str(path))
-    assert code == 1 and out == "" and err.startswith("error:")
+    for extra in [["--field", "q"], ["--field", "p:2"]] if command == "linear" else [[]]:
+        code, out, err = invoke(capsys, command, *extra, str(path))
+        assert code == 1 and out == "" and err.startswith("error:")
 
 
 GRAPH_TEXT = "graph text format is 'v m' then m lines 'u w'"
@@ -836,7 +850,15 @@ def test_bad_option_values_exit_1(capsys, tmp_path, m_file, argv, message):
 
 
 @pytest.mark.parametrize(
-    "weights", ['["x", 0, 0]', "[null, 0, 0]", "[true, 0, 0]", "[NaN, 0, 0]", "[1,"]
+    "weights",
+    [
+        '["x", 0, 0]',
+        "[null, 0, 0]",
+        "[true, 0, 0]",
+        "[NaN, 0, 0]",
+        "[1,",
+        pytest.param("[" * 50_000 + "]" * 50_000, id="nested"),
+    ],
 )
 def test_greedy_rejects_non_numeric_weights(capsys, tmp_path, weights):
     _, out, _ = invoke(capsys, "uniform", "--rank", "2", "--n", "3")
@@ -1107,6 +1129,10 @@ GRAPH_DOCS = st.fixed_dictionaries(
         "edges": st.one_of(st.lists(INDICES, max_size=6), SCALARS),
     }
 )
+# json.loads raises RecursionError on these, which no JSONDecodeError handler catches
+DEEP_MATROID = '{"format": "matroid-v1", "n": 2, "bases": ' + "[" * 100_000 + "]" * 100_000 + "}"
+DEEP_GRAPH = '{"format": "graph-v1", "v": 2, "edges": ' + "[" * 50_000 + "]" * 50_000 + "}"
+NESTED = st.sampled_from([DEEP_MATROID, DEEP_GRAPH])
 GRAPH_TEXTS = st.lists(
     st.lists(st.one_of(st.integers(-1, 6), SCALARS).map(str), max_size=3), max_size=6
 ).map(lambda rows: "\n".join(" ".join(row) for row in rows))
@@ -1127,8 +1153,12 @@ def run_on_stdin(argv: list[str], text: str) -> tuple[int, str, str]:
     command=st.sampled_from(
         ["info", "bases", "graphic", "tutte", "circuits", "components", "validate"]
     ),
-    doc=st.one_of(MATROIDS, MATROID_DOCS, GRAPHS, GRAPH_DOCS, GRAPH_TEXTS, st.text(max_size=12)),
+    doc=st.one_of(
+        MATROIDS, MATROID_DOCS, GRAPHS, GRAPH_DOCS, GRAPH_TEXTS, NESTED, st.text(max_size=12)
+    ),
 )
+@example(command="info", doc=DEEP_MATROID)
+@example(command="graphic", doc=DEEP_GRAPH)
 @settings(max_examples=120, deadline=None)
 def test_fuzzed_documents_exit_cleanly(command, doc):
     """Every document ends in exit 0, 1 or 2 without an exception escaping

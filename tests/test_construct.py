@@ -54,6 +54,10 @@ def test_uniform_matroid(u24):
     assert indices(uniform_matroid(3, 3).bases) == {(0, 1, 2)}
     with pytest.raises(ValueError):
         uniform_matroid(4, 3)
+    for n in range(11):
+        for r in range(n + 1):
+            masks = [sum(1 << e for e in c) for c in combinations(range(n), r)]
+            assert uniform_matroid(r, n).basis_masks == tuple(sorted(masks))
 
 
 def test_linear_matroid_rational():
@@ -297,6 +301,11 @@ def test_matroid_from_nonbases():
     for rank in (-1, 5):
         with pytest.raises(ValueError):
             matroid_from_nonbases(4, [], rank)
+    for n in range(11):
+        for r in range(n + 1):
+            combos = list(combinations(range(n), r))
+            kept = [sum(1 << e for e in c) for c in combos[0::3] + combos[2::3]]
+            assert matroid_from_nonbases(n, combos[1::3], r).basis_masks == tuple(sorted(kept))
 
 
 def test_specific_matroids(fano, vamos):

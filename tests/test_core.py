@@ -12,10 +12,15 @@ from matroidkit import (
     Matroid,
     complete_graph,
     contraction,
+    deletion,
     direct_sum,
     dual,
     graphic_matroid,
     greedy,
+    matroid_from_circuits,
+    matroid_from_nonbases,
+    minor,
+    restriction,
     uniform_matroid,
 )
 from matroidkit.core import _fundamental_circuits, _in_order
@@ -90,6 +95,36 @@ def test_construction_errors():
         Matroid(4, [GroundSubset(0b11, 3)])  # a subset of a different ground set
     with pytest.raises(ValueError):
         Matroid(4, [[0, 1]]).rank_of(GroundSubset(0b1, 5))
+
+
+# every public entry that takes a subset of a matroid's ground set
+SUBSET_ENTRIES = {
+    "rank_of": lambda m, s: m.rank_of(s),
+    "closure": lambda m, s: m.closure(s),
+    "is_dependent": lambda m, s: m.is_dependent(s),
+    "restriction": restriction,
+    "deletion": deletion,
+    "contraction": contraction,
+    "minor_contract": lambda m, s: minor(m, s, []),
+    "minor_delete": lambda m, s: minor(m, [], s),
+    "Matroid": lambda m, s: Matroid(m.n, [s]),
+    "matroid_from_circuits": lambda m, s: matroid_from_circuits(m.n, [s]),
+    "matroid_from_nonbases": lambda m, s: matroid_from_nonbases(m.n, [s], 1),
+}
+
+
+@pytest.mark.parametrize("entry", SUBSET_ENTRIES.values(), ids=list(SUBSET_ENTRIES))
+def test_subset_entries_refuse_other_ground_sets(entry):
+    m = uniform_matroid(2, 4)
+    for subset, message in [
+        (GroundSubset(0b1, 5), "subset lives on 5 elements, matroid has 4"),
+        (GroundSubset(0b1, 3), "subset lives on 3 elements, matroid has 4"),
+        ([4], "index 4 out of range for ground set of size 4"),
+        ([0, -1], "index -1 out of range for ground set of size 4"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            entry(m, subset)
+        assert str(info.value) == message
 
 
 def test_bases_deduplicated():

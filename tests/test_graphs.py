@@ -18,7 +18,7 @@ from matroidkit import (
     graphic_matroid,
 )
 from matroidkit.construct import _parts
-from matroidkit.graphs import _blocks
+from matroidkit.graphs import _adjacency, _blocks
 from oracles import _count_components, brute_cycle_count, glued_graphs, random_graph
 
 
@@ -210,7 +210,7 @@ def test_blocks_are_the_components_of_the_graphic_matroid():
     block shows here; a split one would give wrong bases, which the forest
     oracle in test_construct catches."""
     graphs = list(glued_graphs(200))
-    blocks = [_blocks(g) for g in graphs]
+    blocks = [_blocks(g, _adjacency(g)) for g in graphs]
     assert blocks == [_parts(graphic_matroid(g)) for g in graphs]
     assert sum(1 for bs in blocks if any(b & b - 1 == 0 for b in bs)) > 60  # a bridge
     assert sum(1 for bs in blocks if sum(b & b - 1 > 0 for b in bs) > 1) > 100  # two blocks with cycles
@@ -218,10 +218,18 @@ def test_blocks_are_the_components_of_the_graphic_matroid():
 
 
 def test_cycles_are_the_circuits_of_the_graphic_matroid():
-    """Multi-block graphs beyond the n <= 8 that the brute-force cycle count reaches."""
-    graphs = [g for g in glued_graphs(60, max_edges=24) if len(g.edges) > 12 and len(_blocks(g)) > 1]
+    """Multi-block graphs beyond the n <= 8 that the brute-force cycle count
+    reaches. Each mask read off the walk is also the mask of the cycle's
+    consecutive vertex pairs, looked up in the edge list."""
+    graphs = [g for g in glued_graphs(60, max_edges=24) if len(g.edges) > 12]
+    graphs = [g for g in graphs if len(_blocks(g, _adjacency(g))) > 1]
     assert len(graphs) > 30
     for g in graphs:
-        assert sorted(c.edge_indices.bits for c in get_cycles(g)) == sorted(
+        cycles = get_cycles(g)
+        assert sorted(c.edge_indices.bits for c in cycles) == sorted(
             c.bits for c in graphic_matroid(g).circuits()
         )
+        for c in cycles:
+            seq = c.vertex_sequence
+            pairs = [tuple(sorted(p)) for p in zip(seq, seq[1:])]
+            assert c.edge_indices.bits == sum(1 << g.edges.index(p) for p in pairs)

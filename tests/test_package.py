@@ -255,3 +255,25 @@ def test_graph_checks(v, edges, message):
         Graph(v, edges)
     assert str(info.value) == message
 
+
+def test_the_package_imports_only_the_standard_library():
+    """The package declares no dependencies. Under -S no site preloads run, so
+    each module that importing every submodule adds is the package's own or
+    the standard library's."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"for name in {SUBMODULES + ['cli']!r}:\n"
+        "    __import__('matroidkit.' + name)\n"
+        "tops = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(tops - {'matroidkit'} - sys.stdlib_module_names))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"
