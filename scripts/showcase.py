@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """End-to-end tour: builds the standard examples and prints their invariants.
 
-Usage: python scripts/showcase.py [--skip-slow]
+Usage: python scripts/showcase.py
 """
 
-import argparse
 import math
 import time
 from fractions import Fraction
@@ -38,10 +37,6 @@ def section(title):
 
 
 def main():
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--skip-slow", action="store_true", help="skip the Hilbert suite")
-    args = parser.parse_args()
-
     section("a small labeled matroid")
     m = Matroid(4, [[0, 1], [0, 2]], labels=["a", "b", "c", "d"])
     print("bases:", [m.labels_of(b.indices()) for b in m.bases])
@@ -93,10 +88,9 @@ def main():
     v = specific_matroid("vamos")
     print("(n, #bases, rank, #flats):", (v.n, len(v.bases), v.rank, sum(v.fvector())))
     print("presentation variables:", len(chow_presentation(v).flats))
-    if not args.skip_slow:
-        t0 = time.perf_counter()
-        hilbert = [chow_hilbert(v, d) for d in range(v.rank)]
-        print(f"hilbert function: {hilbert} ({time.perf_counter() - t0:.2f}s)")
+    t0 = time.perf_counter()
+    hilbert = [chow_hilbert(v, d) for d in range(v.rank)]
+    print(f"hilbert function: {hilbert} ({time.perf_counter() - t0:.2f}s)")
 
 
 if __name__ == "__main__":

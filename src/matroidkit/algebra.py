@@ -85,11 +85,12 @@ def chow_hilbert(matroid: Matroid, degree: int, *, exact: bool = False) -> int:
     if len(matroid.loops()) != 0:
         raise ValueError("the graded flat algebra requires a loopless matroid")
     r = matroid.rank
-    if not 0 <= degree <= r - 1:
-        raise ValueError(f"degree must lie in [0, {r - 1}], got {degree}")
+    top = max(r - 1, 0)  # rank 0: the ring is the integers, in degree 0
+    if not 0 <= degree <= top:
+        raise ValueError(f"degree must lie in [0, {top}], got {degree}")
     # the exponents along a chain sum to at most rk F_k - k, so in degree r - 1
     # only E itself counts, as in degree 0 only the empty chain does
-    if degree in (0, r - 1):
+    if degree in (0, top):
         return 1
     # (rank, mask, ending) of the flats that can precede a flat of higher rank
     # with a positive exponent; rank-1 flats end no chain, so they never enter

@@ -36,9 +36,10 @@ if TYPE_CHECKING:
 # contract/delete pairs `has-minor` may try, or ordered basis pairs `validate`
 # may check (M(K6), 1,296 bases and 1.7 million pairs, took 13.6 s).
 MAX_ENUMERATED = 10**6
-# The highest rank whose flats `info`, `flats` and `chow` may list. A one-basis
-# document of rank r has 2^r flats: `flats` lists them in about 5 s at rank 18
-# and 9-10 s at rank 19 (2-core x86, Python 3.11), against a 10 s budget.
+# The highest rank whose flats `info`, `flats` and `chow` may list, against a 10 s budget. Rank r
+# gives at least 2^r flats: `flats` lists the 2^18 of one rank-18 basis in 1.6-2.3 s, but `info`
+# took 9-11 s on U(18,19) and 25-34 s on U(18,20), a 12 KB document of 190 bases (fresh processes,
+# 2-core x86, Python 3.11). ROADMAP item 4 replaces this cap with a count of the flats.
 MAX_FLATS_RANK = 18
 # The largest matroid ground set and graph vertex count the loaders and constructors accept.
 MAX_GROUND = 4096

@@ -253,30 +253,27 @@ class Matroid:
 
     def flats(self) -> tuple[tuple[GroundSubset, ...], ...]:
         """Flats grouped by rank, built level-by-level from the closure of the
-        empty set: each rank-(k+1) flat is a cover cl(F + x) of a rank-k flat
-        F, and E is the one flat of full rank. With alive from `_grow(F)`, y
-        outside F + x is in cl(F + x) exactly when alive & col[x] & col[y] is
-        0, so a coloop y of M / F, with alive & col[y] == alive, is a cover
-        F + y alone. The covers partition E - F: each one's elements are
-        skipped once found."""
+        empty set, each flat F held with alive, the bases that contain one
+        basis I of F (every basis for cl(empty)); E is the one flat of full
+        rank. For x outside F and ax = alive & col[x], y outside F + x is in
+        the cover cl(F + x) exactly when ax & col[y] is 0, and no y is when
+        ax == alive (x a coloop of M / F). I + x is a basis of the cover, so ax
+        is its alive. The covers partition E - F, so each is skipped once found."""
         if self._flats is None:
             col, full = self._columns(), self._full()
-            current = {self._closure_mask(0)}
+            current = {self._closure_mask(0): (1 << len(self._masks)) - 1}
             levels = [_in_order(current, self.n)]
             for _ in range(self._rank - 1):
-                nxt = set()
-                for f in current:
-                    alive, rest = self._grow(f)[0], full & ~f
-                    for y in iter_bits(rest):
-                        if alive & col[y] == alive:
-                            nxt.add(f | 1 << y)
-                            rest ^= 1 << y
+                nxt = {}
+                for f, alive in current.items():
+                    rest = full & ~f
                     while rest:
                         low = rest & -rest
                         ax = alive & col[low.bit_length() - 1]
-                        spanned = (1 << y for y in iter_bits(rest ^ low) if not ax & col[y])
-                        cover = f | low | sum(spanned)
-                        nxt.add(cover)
+                        cover = f | low
+                        if ax != alive:
+                            cover |= sum(1 << y for y in iter_bits(rest ^ low) if not ax & col[y])
+                        nxt[cover] = ax
                         rest &= ~cover
                 current = nxt
                 levels.append(_in_order(current, self.n))

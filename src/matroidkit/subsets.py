@@ -13,7 +13,7 @@ def mask_from_indices(subset: SubsetLike, n: int) -> int:
     against the range [0, n): the one step from a caller's subset to a mask."""
     if isinstance(subset, GroundSubset):
         if subset.n != n:
-            raise ValueError(f"subset lives on {subset.n} elements, matroid has {n}")
+            raise ValueError(f"subset lives on {subset.n} elements, the ground set has {n}")
         return subset.bits
     mask = 0
     for i in subset:

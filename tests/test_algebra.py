@@ -131,6 +131,8 @@ def test_chow_hilbert_u23():
 
 def test_chow_hilbert_degree_zero(m4):
     assert chow_hilbert(m4, 0) == 1
+    # rank 0: no proper nonempty flat, so the ring is the integers, in degree 0
+    assert chow_hilbert(Matroid(0, [[]]), 0) == 1
 
 
 def test_chow_hilbert_bad_degree(m4):
@@ -138,6 +140,8 @@ def test_chow_hilbert_bad_degree(m4):
         chow_hilbert(m4, m4.rank)
     with pytest.raises(ValueError):
         chow_hilbert(m4, -1)
+    with pytest.raises(ValueError, match=r"degree must lie in \[0, 0\], got 1"):
+        chow_hilbert(Matroid(0, [[]]), 1)
 
 
 def test_chow_hilbert_matches_full_elimination(m4):

@@ -488,6 +488,14 @@ def test_chow_hilbert_refuses_too_many_flat_pairs(capsys, tmp_path):
     assert invoke(capsys, "chow", "--degree", "1", _free_file(tmp_path, 10)) == (0, "1013\n", "")
 
 
+def test_chow_on_the_rank_zero_matroid(capsys, tmp_path):
+    """The empty presentation, whose ring is the integers in degree 0."""
+    path = _free_file(tmp_path, 0)
+    assert invoke(capsys, "chow", "--degree", "0", path) == (0, "1\n", "")
+    code, out, err = invoke(capsys, "chow", path)
+    assert (code, err) == (0, "") and json.loads(out)["variables"] == []
+
+
 def test_info_on_invalid_families_exits_cleanly(capsys, tmp_path):
     """`run` lets anything but ValueError and OSError escape, so each call
     either answers or exits 1 with an `error:` line, never a traceback."""

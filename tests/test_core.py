@@ -110,6 +110,7 @@ SUBSET_ENTRIES = {
     "Matroid": lambda m, s: Matroid(m.n, [s]),
     "matroid_from_circuits": lambda m, s: matroid_from_circuits(m.n, [s]),
     "matroid_from_nonbases": lambda m, s: matroid_from_nonbases(m.n, [s], 1),
+    "GroundSubset.of": lambda m, s: GroundSubset.of(s, m.n),
 }
 
 
@@ -117,8 +118,8 @@ SUBSET_ENTRIES = {
 def test_subset_entries_refuse_other_ground_sets(entry):
     m = uniform_matroid(2, 4)
     for subset, message in [
-        (GroundSubset(0b1, 5), "subset lives on 5 elements, matroid has 4"),
-        (GroundSubset(0b1, 3), "subset lives on 3 elements, matroid has 4"),
+        (GroundSubset(0b1, 5), "subset lives on 5 elements, the ground set has 4"),
+        (GroundSubset(0b1, 3), "subset lives on 3 elements, the ground set has 4"),
         ([4], "index 4 out of range for ground set of size 4"),
         ([0, -1], "index -1 out of range for ground set of size 4"),
     ]:
@@ -466,7 +467,16 @@ def levels_of(m: Matroid) -> list[list[int]]:
 
 def test_flats_match_the_closure_oracle_level_by_level():
     """Same flats in the same order as one closure sweep per (flat, element)."""
-    for m in [graphic_matroid(complete_graph(6)), uniform_matroid(5, 10)] + seeded_matroids(61):
+    shapes = [
+        graphic_matroid(complete_graph(6)),
+        uniform_matroid(5, 10),
+        uniform_matroid(6, 6),  # every element a coloop of every contraction
+        direct_sum(uniform_matroid(3, 3), uniform_matroid(2, 5)),
+        direct_sum(uniform_matroid(0, 2), uniform_matroid(2, 4)),
+        uniform_matroid(0, 3),  # one level, cl(empty) = E
+        Matroid(0, [[]]),
+    ]
+    for m in shapes + seeded_matroids(61):
         assert levels_of(m) == closure_flats_by_level(m)
 
 
