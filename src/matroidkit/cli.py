@@ -24,7 +24,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .core import Matroid
-from .subsets import iter_bits
+from .subsets import GroundSubset, iter_bits
 
 # Every other module is imported by the handler that uses it, so a process
 # loads only what its command runs.
@@ -181,6 +181,12 @@ def _refuse(count: int, limit: int, what: str) -> None:
         raise ValueError(f"{what} exceeds the limit of {limit}")
 
 
+def _flats(m: Matroid) -> tuple[tuple[GroundSubset, ...], ...]:
+    """The flats by rank, refused up front above rank MAX_FLATS_RANK."""
+    _refuse(m.rank, MAX_FLATS_RANK, f"rank {m.rank} (at least 2^{m.rank} flats)")
+    return m.flats()
+
+
 def _load_small_graph(path: str) -> Graph:
     """A graph whose spanning forests are few enough to enumerate."""
     from .graphs import component_count
@@ -226,14 +232,14 @@ def cmd_validate(args) -> None:
 
 def cmd_info(args) -> None:
     m = load_matroid(args.file)
-    _refuse(m.rank, MAX_FLATS_RANK, f"rank {m.rank} (at least 2^{m.rank} flats)")
+    levels = _flats(m)
     info = {
         "n": m.n,
         "rank": m.rank,
         "bases": len(m.basis_masks),
         "loops": list(m.loops().indices()),
         "coloops": list(m.coloops().indices()),
-        "fvector": m.fvector(),
+        "fvector": [len(level) for level in levels],
     }
     if args.pretty:
         for key, value in info.items():
@@ -257,8 +263,7 @@ def cmd_subsets(args) -> None:
 
 def cmd_flats(args) -> None:
     m = load_matroid(args.file)
-    _refuse(m.rank, MAX_FLATS_RANK, f"rank {m.rank} (at least 2^{m.rank} flats)")
-    levels = m.flats()
+    levels = _flats(m)
     if args.pretty:
         for k, level in enumerate(levels):
             print(f"rank {k}: " + ", ".join(_fmt_subset(f.indices(), m.labels) for f in level))
@@ -382,8 +387,7 @@ def cmd_chow(args) -> None:
     from .algebra import chow_hilbert, chow_presentation
     m = load_matroid(args.file)
     if args.degree is None or 0 < args.degree < m.rank - 1:
-        _refuse(m.rank, MAX_FLATS_RANK, f"rank {m.rank} (at least 2^{m.rank} flats)")
-        flats = sum(len(level) for level in m.flats()[1:-1])
+        flats = sum(len(level) for level in _flats(m)[1:-1])
         # the quadrics, and the chain counts of the Hilbert function, compare every pair
         _refuse(flats * (flats - 1) // 2, MAX_ENUMERATED, f"the pair count of {flats} proper flats")
     if args.degree is not None:

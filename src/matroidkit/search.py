@@ -25,13 +25,6 @@ class MinorWitness(Frozen):
     iso: IsoWitness
 
 
-def apply_permutation(mask: int, perm: tuple[int, ...]) -> int:
-    out = 0
-    for e in iter_bits(mask):
-        out |= 1 << perm[e]
-    return out
-
-
 def _walked_pair_counts(m: Matroid) -> list[dict[int, int]]:
     """pc[a][c]: the bases holding both a and c, kept only for pairs that
     share one, so pc[a][a] is the degree of a; |B| r^2 dict updates."""
@@ -165,15 +158,15 @@ def isomorphism(source: Matroid, target: Matroid) -> IsoWitness | None:
     return None
 
 
-def _colex_subsets(pool: int, size: int) -> Iterator[tuple[int, ...]]:
-    """The size-subsets of range(pool) in colex order, one at a time: as
-    bitmasks that is increasing order, stepped by Gosper's hack."""
+def _colex_masks(pool: int, size: int) -> Iterator[int]:
+    """The size-subsets of range(pool) as bitmasks in increasing order, which
+    is colex order, one at a time, stepped by Gosper's hack."""
     if size == 0:
-        yield ()
+        yield 0
         return
     mask, stop = (1 << size) - 1, 1 << pool
     while mask < stop:
-        yield tuple(iter_bits(mask))
+        yield mask
         low = mask & -mask
         ripple = mask + low
         mask = ripple | ((mask ^ ripple) >> 2) // low
@@ -189,37 +182,34 @@ def has_minor(host: Matroid, pattern: Matroid) -> MinorWitness | None:
     witness returned is the first pair in that order and is deterministic.
 
     Everything is screened on one table, the host's basis columns: col[e] is
-    the bitmask over basis positions of the bases that contain e. The AND of
-    the columns of I, `every`, marks the bases that contain I; it is zero
-    exactly when I is dependent, and otherwise its bases, less I, are the
-    bases of host / I. For a delete set D, `alive = every & ~OR(col[e] for e
-    in D)` marks the bases that also avoid D. D survives only if alive holds
-    the pattern's basis count, which also makes D coindependent, so alive is
-    exactly the bases of (host / I) \\ D, and col[e] & alive counts the
-    bases of that minor holding e. Sorted over the elements of host / I,
-    those counts are the minor's per-element basis degrees plus |D| zeros,
-    and must equal the pattern's. Only survivors are built, with `minor`, and
-    handed to `isomorphism`.
+    the bitmask over basis positions of the bases that contain e. `_grow(I)`
+    gives `every`, the bases that contain a basis of I, and the rank of I;
+    I is dependent when that rank is below |I|, and otherwise `every` marks
+    the bases that contain I, which, less I, are the bases of host / I. For
+    a delete set D, `alive = every & ~OR(col[e] for e in D)` marks the bases
+    that also avoid D. D survives only if alive holds the pattern's basis
+    count, which also makes D coindependent, so alive is exactly the bases
+    of (host / I) \\ D, and col[e] & alive counts the bases of that minor
+    holding e. Sorted over the elements of host / I, those counts are the
+    minor's per-element basis degrees plus |D| zeros, and must equal the
+    pattern's. Only survivors are built, with `transform._minor` on the two
+    masks, and handed to `isomorphism`.
     """
-    from .transform import minor
-    if pattern.rank > host.rank or pattern.n > host.n:
-        return None
-    csize = host.rank - pattern.rank
-    dsize = host.n - csize - pattern.n
-    if dsize < 0:
+    from .transform import _minor
+    n, csize = host.n, host.rank - pattern.rank
+    dsize = n - csize - pattern.n
+    if csize < 0 or dsize < 0:
         return None
     pat_bases = len(pattern.basis_masks)
     pat_degrees = sorted([0] * dsize + [c.bit_count() for c in pattern._columns()])
-    delete_sets = list(_colex_subsets(host.n - csize, dsize))
+    delete_sets = [tuple(iter_bits(d)) for d in _colex_masks(n - csize, dsize)]
     col = host._columns()
 
-    for contract_set in _colex_subsets(host.n, csize):
-        every = (1 << len(host.basis_masks)) - 1
-        for e in contract_set:
-            every &= col[e]
-        if not every:
+    for contract in _colex_masks(n, csize):
+        every, r = host._grow(contract)
+        if r < csize:
             continue
-        remaining = [e for e in range(host.n) if e not in contract_set]
+        remaining = [e for e in range(n) if not contract >> e & 1]
         inner_col = [col[e] & every for e in remaining]  # host / I, in host basis positions
         for delete_set in delete_sets:
             dead = 0
@@ -230,9 +220,8 @@ def has_minor(host: Matroid, pattern: Matroid) -> MinorWitness | None:
                 continue
             if sorted((c & alive).bit_count() for c in inner_col) != pat_degrees:
                 continue
-            contract = GroundSubset.of(contract_set, host.n)
-            delete = GroundSubset.of((remaining[j] for j in delete_set), host.n)
-            iso = isomorphism(minor(host, contract, delete), pattern)
+            delete = sum(1 << remaining[j] for j in delete_set)
+            iso = isomorphism(_minor(host, contract, delete), pattern)
             if iso is not None:
-                return MinorWitness(contract, delete, iso)
+                return MinorWitness(GroundSubset(contract, n), GroundSubset(delete, n), iso)
     return None

@@ -301,6 +301,14 @@ def brute_coloring_count(g: Graph, colors: int) -> int:
 # -- search ----------------------------------------------------------------------
 
 
+def apply_permutation(mask: int, perm: tuple[int, ...]) -> int:
+    """The image of a subset under the map sending element e to perm[e]."""
+    out = 0
+    for e in iter_bits(mask):
+        out |= 1 << perm[e]
+    return out
+
+
 def brute_isomorphic(a: Matroid, b: Matroid) -> bool:
     if a.n != b.n or len(a.basis_masks) != len(b.basis_masks):
         return False

@@ -41,9 +41,8 @@ from matroidkit import (
     UnivarPoly,
 )
 from matroidkit.construct import FANO_NONBASES
-from matroidkit.search import apply_permutation
 from matroidkit.subsets import iter_bits
-from oracles import brute_max_basis_weight, random_linear_matroid, random_matroid
+from oracles import apply_permutation, brute_max_basis_weight, random_linear_matroid, random_matroid
 
 _elapsed_total: list[float] = []
 

@@ -112,6 +112,9 @@ def test_minor_and_isomorphic(capsys, k5_file, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["n"] == 6 and len(doc["bases"]) == 16
+    # --contract defaults to '', the empty index list
+    code, out, _ = invoke(capsys, "minor", "--delete", "3,5,8", str(m5_path))
+    assert code == 0 and out == invoke(capsys, "delete", "--set", "3,5,8", str(m5_path))[1]
 
 
 def test_isomorphic_outputs_witness(capsys, m_file, tmp_path):
@@ -808,6 +811,7 @@ def test_exit_codes(capsys, tmp_path):
         ("linear", {"format": "matrix-v1", "rows": 1, "cols": 2, "entries": [["1e3", "1"]]}),
         ("linear", {"format": "matrix-v1", "rows": 1, "cols": 2, "entries": [["1_000", "1"]]}),
         ("linear", {"format": "matrix-v1", "rows": 1, "cols": 2, "entries": [["1", "2/0"]]}),
+        ("graphic", {"format": "graph-v1", "v": "3", "edges": [[0, 1]]}),
     ],
 )
 def test_malformed_documents_exit_1(capsys, tmp_path, command, doc):

@@ -95,6 +95,8 @@ def test_construction_errors():
         Matroid(4, [GroundSubset(0b11, 3)])  # a subset of a different ground set
     with pytest.raises(ValueError):
         Matroid(4, [[0, 1]]).rank_of(GroundSubset(0b1, 5))
+    with pytest.raises(ValueError, match="ground set size must be nonnegative"):
+        Matroid(-1, [[]])
 
 
 # every public entry that takes a subset of a matroid's ground set
@@ -203,6 +205,8 @@ def test_equality_ignores_labels(running_example):
 def test_equality_roundtrips(running_example, u24):
     assert dual(dual(running_example)) == running_example
     assert running_example != u24
+    assert running_example.__eq__(running_example.basis_masks) is NotImplemented
+    assert running_example != running_example.basis_masks
 
 
 # -- rank and closure --------------------------------------------------------------

@@ -26,7 +26,7 @@ from matroidkit import (
     tutte_polynomial,
     uniform_matroid,
 )
-from matroidkit.search import apply_permutation
+from oracles import apply_permutation
 
 DEEP = 1100
 

@@ -216,7 +216,7 @@ def test_chow_symmetry_and_polytope(m):
 @settings(deadline=None, max_examples=40)
 def test_minor_witnesses_verify(m):
     from matroidkit import has_minor, minor, uniform_matroid
-    from matroidkit.search import apply_permutation
+    from oracles import apply_permutation
 
     pattern = uniform_matroid(1, 2)
     witness = has_minor(m, pattern)

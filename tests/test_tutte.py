@@ -34,6 +34,8 @@ def test_bivar_poly_arithmetic():
     assert p.coeff(2, 0) == 1 and p.coeff(1, 1) == 2 and p.coeff(0, 2) == 1
     assert p.evaluate(2, 3) == 25
     assert BivarPoly({(0, 0): 0}) == BivarPoly()
+    assert p.__eq__({(2, 0): 1, (1, 1): 2, (0, 2): 1}) is NotImplemented
+    assert p != {(2, 0): 1, (1, 1): 2, (0, 2): 1}
     assert hash(p) == hash(x * x + BivarPoly.monomial(1, 1, 2) + y * y) != hash(x + y)
 
 
@@ -250,6 +252,8 @@ def test_univar_poly_rendering():
     total = p + UnivarPoly((1, -2, 3, -1))  # the top terms cancel and are trimmed
     assert total == UnivarPoly((1, 0, 0)) and total.coeffs == (1,) and total.degree == 0
     assert p + UnivarPoly() == p and hash(total) == hash(UnivarPoly((1,)))
+    assert p * UnivarPoly() == UnivarPoly() * p == UnivarPoly()
+    assert p.__eq__(p.coeffs) is NotImplemented and p != p.coeffs
 
 
 def scan_factored(p: UnivarPoly) -> str:
