@@ -74,9 +74,10 @@ def rank_rows_exact(rows: list[Mapping[int, int | Fraction]], p: int | None = No
 
     Each row maps a column index to an integer or Fraction entry; absent and
     zero entries are zero. Over GF(p) the entries must be integers, and p must
-    be prime (callers validate it with `require_prime`). This is the library's
-    only row reduction: a streaming echelon fed one row at a time through
-    `echelon_insert`.
+    be prime (callers validate it with `require_prime`). The rows stream one
+    at a time through `echelon_insert`, the library's one reduction step,
+    which `construct.linear_matroid` and the `linear` guard of
+    `cli.cmd_construct` also feed directly.
     """
     pivots: dict[int, dict] = {}
     for raw in rows:

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Iterator
+from itertools import combinations
 
 from .core import Matroid
-from .subsets import Frozen, GroundSubset, iter_bits
+from .subsets import Frozen, GroundSubset, iter_bits, k_subsets
 
 
 class IsoWitness(Frozen):
@@ -158,28 +158,15 @@ def isomorphism(source: Matroid, target: Matroid) -> IsoWitness | None:
     return None
 
 
-def _colex_masks(pool: int, size: int) -> Iterator[int]:
-    """The size-subsets of range(pool) as bitmasks in increasing order, which
-    is colex order, one at a time, stepped by Gosper's hack."""
-    if size == 0:
-        yield 0
-        return
-    mask, stop = (1 << size) - 1, 1 << pool
-    while mask < stop:
-        yield mask
-        low = mask & -mask
-        ripple = mask + low
-        mask = ripple | ((mask ^ ripple) >> 2) // low
-
-
 def has_minor(host: Matroid, pattern: Matroid) -> MinorWitness | None:
     """Search for the pattern among the host's minors.
 
     Every minor arises as (host / I) \\ J with I independent and J
     coindependent in host / I, so it suffices to contract independent sets of
     size rank(host) - rank(pattern), then delete coindependent sets down to
-    the pattern's size. Both are enumerated colexicographically, so the
-    witness returned is the first pair in that order and is deterministic.
+    the pattern's size. Both are enumerated lexicographically, as sorted
+    index tuples, so the witness returned is the first pair in that order
+    and is deterministic.
 
     Everything is screened on one table, the host's basis columns: col[e] is
     the bitmask over basis positions of the bases that contain e. `_grow(I)`
@@ -202,10 +189,10 @@ def has_minor(host: Matroid, pattern: Matroid) -> MinorWitness | None:
         return None
     pat_bases = len(pattern.basis_masks)
     pat_degrees = sorted([0] * dsize + [c.bit_count() for c in pattern._columns()])
-    delete_sets = [tuple(iter_bits(d)) for d in _colex_masks(n - csize, dsize)]
+    delete_sets = list(combinations(range(n - csize), dsize))
     col = host._columns()
 
-    for contract in _colex_masks(n, csize):
+    for contract in k_subsets(n, csize):
         every, r = host._grow(contract)
         if r < csize:
             continue

@@ -113,8 +113,8 @@ class UnivarPoly:
         pieces = []
         if rem.degree >= 1:
             pieces.append(f"({rem.render()})")
-        elif rem.coeffs and rem.coeffs[0] != 1:
-            pieces.append(str(rem.coeffs[0]))
+        elif rem.coeffs[0] != 1:  # a unit -1 before a root factor is its sign
+            pieces.append("-" if rem.coeffs[0] == -1 and roots else str(rem.coeffs[0]))
         for root, mult in roots:
             pieces.append(_power("k" if root == 0 else f"(k - {root})", mult))
         return "".join(pieces) if pieces else "1"

@@ -374,14 +374,10 @@ def sparse_paving(n: int, triples: set[frozenset[int]], perm=None) -> Matroid:
     return Matroid(n, [[perm[e] for e in c] for c in kept])
 
 
-def _colex(pool: list[int], size: int) -> list[tuple[int, ...]]:
-    """Size-subsets of an ascending pool, in colexicographic order."""
-    return sorted(combinations(pool, size), key=lambda c: c[::-1])
-
-
 def brute_minor_witness(host: Matroid, pattern: Matroid) -> tuple[int, int] | None:
-    """First (contract, delete) mask pair, in the same colex order as
-    `has_minor`, whose minor is isomorphic to the pattern, or None.
+    """First (contract, delete) mask pair, in the same lexicographic order of
+    sorted index tuples as `has_minor`, whose minor is isomorphic to the
+    pattern, or None.
 
     Contract sets C must be independent (by `brute_rank`); the bases of
     (host / C) \\ D are B - C over the host's bases B that contain C and avoid
@@ -392,12 +388,12 @@ def brute_minor_witness(host: Matroid, pattern: Matroid) -> tuple[int, int] | No
     dsize = host.n - csize - pattern.n
     if csize < 0 or dsize < 0:
         return None
-    for contract in _colex(list(range(host.n)), csize):
+    for contract in combinations(range(host.n), csize):
         cmask = sum(1 << e for e in contract)
         if brute_rank(host, cmask) != csize:
             continue
         rest = [e for e in range(host.n) if not cmask >> e & 1]
-        for delete in _colex(rest, dsize):
+        for delete in combinations(rest, dsize):
             dmask = sum(1 << e for e in delete)
             kept = [e for e in rest if not dmask >> e & 1]
             bases = [
@@ -719,6 +715,20 @@ def fy_chow_hilbert(m: Matroid) -> list[int]:
                     counts[d + a] += c
         ending[f] = counts
     return [sum(c[d] for c in ending.values()) for d in range(top)]
+
+
+# -- exhaustive corpus ---------------------------------------------------------------
+
+
+def all_basis_families(max_n: int = 5):
+    """Every nonempty family of equal-size subsets of range(n), n = 0 to max_n,
+    as a Matroid whether or not it is one: per n and size r, one family for
+    each nonempty choice among the C(n, r) r-sets. 2,229 families on n <= 5."""
+    for n in range(max_n + 1):
+        for r in range(n + 1):
+            pool = [sum(1 << e for e in c) for c in combinations(range(n), r)]
+            for pick in range(1, 1 << len(pool)):
+                yield Matroid._from_masks(n, [pool[i] for i in iter_bits(pick)])
 
 
 # -- random instances ----------------------------------------------------------------

@@ -97,6 +97,9 @@ def test_construction_errors():
         Matroid(4, [[0, 1]]).rank_of(GroundSubset(0b1, 5))
     with pytest.raises(ValueError, match="ground set size must be nonnegative"):
         Matroid(-1, [[]])
+    # masks skip the index checks of Matroid(), so the basis list's own check runs
+    with pytest.raises(ValueError, match="basis contains an index outside the ground set"):
+        Matroid._from_masks(3, [0b011, 0b1100])
 
 
 # every public entry that takes a subset of a matroid's ground set

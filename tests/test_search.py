@@ -19,7 +19,6 @@ from matroidkit import (
     uniform_matroid,
 )
 from matroidkit.search import (
-    _colex_masks,
     _column_pair_counts,
     _walk_is_cheaper,
     _walked_pair_counts,
@@ -296,7 +295,8 @@ def test_has_minor_matches_brute_force_oracle():
 
 def test_has_minor_random_patterns_match_oracle():
     # Random patterns reach hosts where the lexicographically first witness
-    # differs from the colexicographic one, so the order itself is checked.
+    # differs from the colexicographically first (4 of the 817 found), so the
+    # order itself is checked.
     rng = Random(1)
     found = 0
     for _ in range(2000):
@@ -314,13 +314,6 @@ def test_has_minor_k6():
     w = has_minor(m6, m4)
     assert w is not None
     verify_iso(minor(m6, w.contract, w.delete), m4, w.iso)
-
-
-def test_colex_masks_are_sorted_by_largest_element_first():
-    for pool in range(8):
-        for size in range(pool + 2):
-            want = sorted(combinations(range(pool), size), key=lambda c: c[::-1])
-            assert list(_colex_masks(pool, size)) == [sum(1 << e for e in c) for c in want]
 
 
 def test_has_minor_tries_contract_sets_before_listing_them_all():

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from matroidkit import GroundSubset
-from matroidkit.subsets import _subsets_of, classes, iter_bits, mask_from_indices
+from matroidkit.subsets import _subsets_of, classes, iter_bits, k_subsets, mask_from_indices
 
 
 def test_construction_and_indices():
@@ -60,3 +60,15 @@ def test_classes_in_order_of_least_element():
     assert classes(5, [(3, 4), (1, 3)]) == [0b1, 0b11010, 0b100]
     # linking 4 to 1 after 2 to 4 still roots the class at its least element
     assert classes(6, [(4, 2), (5, 0), (1, 4), (3, 3)]) == [0b100001, 0b10110, 0b1000]
+
+
+def test_k_subsets_in_lexicographic_order():
+    """Lexicographic in the sorted index tuples, from the powerset: one empty
+    set for size 0, nothing for a size above the pool."""
+    for pool in range(8):
+        for size in range(pool + 2):
+            want = sorted(tuple(iter_bits(m)) for m in range(1 << pool) if m.bit_count() == size)
+            assert list(k_subsets(pool, size)) == [sum(1 << e for e in c) for c in want]
+    assert list(k_subsets(0, 0)) == [0] and list(k_subsets(3, 0)) == [0]
+    assert list(k_subsets(3, 4)) == []
+    assert list(k_subsets(4, 2)) == [0b11, 0b101, 0b1001, 0b110, 0b1010, 0b1100]

@@ -248,6 +248,11 @@ def test_univar_poly_rendering():
     assert p.render() == "k^3 - 3k^2 + 2k"
     assert p.factored() == "k(k - 1)(k - 2)"
     assert UnivarPoly(()).factored() == "0"
+    # a unit -1 is a sign before a root factor, as in render, and a number alone
+    assert UnivarPoly((0, -1)).factored() == "-k" and UnivarPoly((0, -1)).render() == "-k"
+    assert UnivarPoly((0, 1, -1)).factored() == "-k(k - 1)"
+    assert UnivarPoly((1, -1)).factored() == "-(k - 1)"
+    assert UnivarPoly((-1,)).factored() == "-1" and UnivarPoly((-2, 2)).factored() == "2(k - 1)"
     assert UnivarPoly((5,)).render() == "5"
     total = p + UnivarPoly((1, -2, 3, -1))  # the top terms cancel and are trimmed
     assert total == UnivarPoly((1, 0, 0)) and total.coeffs == (1,) and total.degree == 0
@@ -273,7 +278,8 @@ def scan_factored(p: UnivarPoly) -> str:
         if mult:
             roots.append(("k" if root == 0 else f"(k - {root})") + (f"^{mult}" if mult > 1 else ""))
     rest = UnivarPoly(coeffs)
-    head = f"({rest.render()})" if rest.degree >= 1 else "" if coeffs == [1] else str(coeffs[0])
+    unit = "" if coeffs == [1] else "-" if coeffs == [-1] and roots else str(coeffs[0])
+    head = f"({rest.render()})" if rest.degree >= 1 else unit
     return head + "".join(roots) or "1"
 
 
