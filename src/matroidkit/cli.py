@@ -285,6 +285,8 @@ def cmd_minor(args) -> Matroid:
 
 def cmd_search(args) -> None:
     """`isomorphic` and `has-minor`: "true" and the witness as JSON, or "false"."""
+    import shlex
+
     from .search import has_minor, isomorphism
     a, b = load_matroid(args.a), load_matroid(args.b)
     if args.command == "has-minor":
@@ -299,14 +301,14 @@ def cmd_search(args) -> None:
         _emit({"isomorphism": list(witness.perm)})
         return
     c, d = list(witness.contract.indices()), list(witness.delete.indices())
-    cset, dset = (",".join(map(str, s)) or "''" for s in (c, d))
-    replay = f"matroidkit minor --contract {cset} --delete {dset} {args.a}"
+    cset, dset = (shlex.quote(",".join(map(str, s))) for s in (c, d))
+    replay = f"matroidkit minor --contract {cset} --delete {dset} {shlex.quote(args.a)}"
     _emit(
         {
             "contract": c,
             "delete": d,
             "isomorphism": list(witness.iso.perm),
-            "replay": [replay, f"matroidkit isomorphic - {args.b}"],
+            "replay": [replay, f"matroidkit isomorphic - {shlex.quote(args.b)}"],
         }
     )
 

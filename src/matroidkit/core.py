@@ -8,6 +8,7 @@ from itertools import combinations, compress, repeat
 from operator import and_, or_, rshift
 from typing import Iterable, Sequence
 
+from . import subsets
 from .subsets import GroundSubset, SubsetLike, _subsets_of, iter_bits, k_subsets, mask_from_indices
 
 # _DIGITS[k] maps each byte to the ASCII digit of its bit k, and _REVERSED to
@@ -71,12 +72,14 @@ class Matroid:
     Construction checks only that the basis family is nonempty and
     equicardinal and that no basis repeats an index; the full exchange check
     is the separate `is_valid` call.
-    Instances are immutable apart from memoized query results, which are pure
-    functions of (n, bases), so a duplicated concurrent fill is harmless.
-    Labels are display-only metadata; all computation uses indices.
+    Immutable under Frozen's guards; the memo slots `_cols` and `_flats` are
+    filled once, with pure functions of (n, bases), so a duplicated concurrent
+    fill is harmless. Labels are display-only; all computation uses indices.
     """
 
     __slots__ = ("n", "labels", "_masks", "_rank", "_flats", "_cols")
+    __setattr__ = subsets.Frozen.__setattr__
+    __delattr__ = subsets.Frozen.__delattr__
 
     def __init__(
         self,
@@ -121,12 +124,12 @@ class Matroid:
             labels = tuple(labels)
             if len(labels) != n:
                 raise ValueError(f"expected {n} labels, got {len(labels)}")
-        self.n = n
-        self.labels = labels
-        self._masks = tuple(dedup)
-        self._rank = cards.pop()
-        self._flats = None
-        self._cols = None
+        _set_n(self, n)
+        _set_labels(self, labels)
+        _set_masks(self, tuple(dedup))
+        _set_rank(self, cards.pop())
+        _set_flats(self, None)
+        _set_cols(self, None)
 
     # -- structure -----------------------------------------------------------
 
@@ -156,6 +159,9 @@ class Matroid:
     def __repr__(self) -> str:
         return f"Matroid(n={self.n}, rank={self._rank}, bases={len(self._masks)})"
 
+    def __reduce__(self):  # unpickling a slotted object would call the guarded setattr
+        return Matroid._from_masks, (self.n, self._masks, self.labels)
+
     # -- validity ------------------------------------------------------------
 
     def is_valid(self) -> bool:
@@ -182,7 +188,7 @@ class Matroid:
             w = (self.n + 7) >> 3
             packed = b"".join(map(int.to_bytes, self._masks, repeat(w), repeat("little")))
             digits = (packed[e >> 3 :: w].translate(_DIGITS[e & 7]) for e in range(self.n))
-            self._cols = [int(d[::-1], 2) for d in digits]
+            _set_cols(self, [int(d[::-1], 2) for d in digits])
         return self._cols
 
     def _grow(self, s: int) -> tuple[int, int]:
@@ -279,7 +285,7 @@ class Matroid:
                 levels.append(_in_order(current, self.n))
             if self._rank:
                 levels.append(_in_order({full}, self.n))
-            self._flats = tuple(levels)
+            _set_flats(self, tuple(levels))
         return self._flats
 
     def fvector(self) -> list[int]:
@@ -316,3 +322,9 @@ class Matroid:
             except ValueError:
                 raise ValueError(f"unknown label {lbl!r}") from None
         return out
+
+
+# the slot setters, which skip the frozen __setattr__ on the hot constructor
+_set_n, _set_labels, _set_masks, _set_rank, _set_flats, _set_cols = (
+    getattr(Matroid, name).__set__ for name in Matroid.__slots__
+)

@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Mapping, Sequence
 
+from .subsets import Frozen
+
 
 def require_prime(p: int) -> None:
     """Raise ValueError unless p is a prime below 2^31, the only moduli the
@@ -15,7 +17,7 @@ def require_prime(p: int) -> None:
         raise ValueError(f"modulus {p} is not a prime below 2^31")
 
 
-class ExactMatrix:
+class ExactMatrix(Frozen):
     """Dense matrix with exact entries: Fractions, or integers mod a prime.
 
     field is None for rational arithmetic, or the prime modulus. Ranks are
@@ -39,10 +41,7 @@ class ExactMatrix:
             entries = tuple(tuple(int(e) % field for e in r) for r in rows)
         else:
             entries = tuple(tuple(Fraction(e) for e in r) for r in rows)
-        self.rows = len(rows)
-        self.cols = width
-        self.field = field
-        self.entries = entries
+        super().__init__(len(rows), width, field, entries)
 
     def rank(self) -> int:
         """Rank of the matrix: each row becomes a sparse row keyed by column."""
@@ -54,15 +53,8 @@ class ExactMatrix:
     def column_label(self, j: int) -> str:
         return "(" + ", ".join(str(e) for e in self.column(j)) + ")"
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.field, self.entries) == (
-            other.rows,
-            other.cols,
-            other.field,
-            other.entries,
-        )
+    def __reduce__(self):  # the constructor takes (data, field, cols)
+        return ExactMatrix, (self.entries, self.field, self.cols)
 
     def __repr__(self) -> str:
         f = "QQ" if self.field is None else f"GF({self.field})"

@@ -6,6 +6,7 @@ from bisect import bisect_left
 from typing import TYPE_CHECKING, Iterable
 
 from .core import Matroid
+from .subsets import Frozen
 
 if TYPE_CHECKING:
     from .graphs import Graph
@@ -26,7 +27,7 @@ def _signed_sum(terms: Iterable[tuple[int, str]]) -> str:
     return " ".join(parts) or "0"
 
 
-class UnivarPoly:
+class UnivarPoly(Frozen):
     """Integer univariate polynomial; coefficients stored lowest degree first."""
 
     __slots__ = ("coeffs",)
@@ -35,7 +36,7 @@ class UnivarPoly:
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
+        super().__init__(tuple(cs))
 
     @property
     def degree(self) -> int:
@@ -64,14 +65,6 @@ class UnivarPoly:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return UnivarPoly(out)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UnivarPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def render(self) -> str:
         cs = self.coeffs
@@ -120,7 +113,7 @@ class UnivarPoly:
         return "".join(pieces) if pieces else "1"
 
 
-class BivarPoly:
+class BivarPoly(Frozen):
     """Bivariate integer polynomial stored as {(i, j): coefficient}, zeros absent."""
 
     __slots__ = ("_terms",)
@@ -132,7 +125,7 @@ class BivarPoly:
             for key, c in items:
                 if c:
                     data[key] = data.get(key, 0) + c
-        self._terms = {k: v for k, v in data.items() if v}
+        super().__init__({k: v for k, v in sorted(data.items()) if v})  # repr in term order
 
     @classmethod
     def monomial(cls, i: int, j: int, c: int = 1) -> "BivarPoly":
@@ -161,12 +154,7 @@ class BivarPoly:
                 out[k] = out.get(k, 0) + c1 * c2
         return BivarPoly(out)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BivarPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
+    def __hash__(self) -> int:  # the term dict is unhashable
         return hash(frozenset(self._terms.items()))
 
     def evaluate(self, x: int, y: int) -> int:

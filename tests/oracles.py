@@ -731,6 +731,80 @@ def all_basis_families(max_n: int = 5):
                 yield Matroid._from_masks(n, [pool[i] for i in iter_bits(pick)])
 
 
+def _linear_subclasses(count: int, lines: list[int]) -> list[int]:
+    """Every set S of hyperplanes, as a mask over their indices 0..count-1,
+    that holds all or at most one of each line's hyperplanes: a line is the
+    mask of the hyperplanes above one flat of rank r - 2. Each hyperplane in
+    turn is left out, or put in with the closure of S under the line rule,
+    unless that closure takes in one left out earlier."""
+    out, stack = [], [(0, 0, 0)]  # (next hyperplane, in, left out)
+    while stack:
+        i, inside, outside = stack.pop()
+        while inside >> i & 1:
+            i += 1
+        if i >= count:
+            out.append(inside)
+            continue
+        stack.append((i + 1, inside, outside | 1 << i))
+        grown, changed = inside | 1 << i, True
+        while changed:
+            changed = False
+            for line in lines:
+                if (grown & line).bit_count() > 1 and line & ~grown:
+                    grown, changed = grown | line, True
+        if not grown & outside:
+            stack.append((i + 1, grown, outside))
+    return out
+
+
+def single_element_extensions(m: Matroid) -> list[Matroid]:
+    """The extensions of m by a new element n that keep the rank, one for each
+    linear subclass of its hyperplanes, plus the extension by a coloop (Crapo,
+    J. Res. NBS 1965; Oxley, §7.2). Under the subclass S the new element
+    joins the bases as I + n for each independent (r - 1)-set I whose closure
+    is not in S: S empty adds a free element, all hyperplanes a loop."""
+    n, r, bases = m.n, m.rank, m.basis_masks
+    levels = [set(), set(), *brute_flats_by_rank(m)]  # levels[k + 2]: the flats of rank k
+    hyperplanes = list(levels[r + 1])
+
+    def above(s: int) -> list[int]:  # the indices of the hyperplanes holding s
+        return [i for i, h in enumerate(hyperplanes) if s & ~h == 0]
+
+    lines = [sum(1 << i for i in above(f)) for f in levels[r]]
+    # each independent (r - 1)-set with the index of its closure
+    spanned = [
+        (s, above(s)[0]) for s in range(1 << n) if s.bit_count() == r - 1 and is_independent(m, s)
+    ]
+    new = 1 << n
+    out = [Matroid._from_masks(n + 1, [b | new for b in bases])]
+    for subclass in _linear_subclasses(len(hyperplanes), lines):
+        added = [s | new for s, i in spanned if not subclass >> i & 1]
+        out.append(Matroid._from_masks(n + 1, [*bases, *added]))
+    return out
+
+
+def all_matroids(max_n: int = 7) -> list[list[Matroid]]:
+    """One matroid of each isomorphism class on n elements, for n = 0 to
+    max_n: every single-element extension of the classes on n - 1 elements,
+    kept when no kept matroid with the same (rank, basis count, sorted
+    degrees, Tutte polynomial) is isomorphic to it. Every matroid on n > 0
+    elements deletes to one on n - 1, so the extensions reach every class."""
+    from matroidkit import isomorphism, tutte_polynomial
+
+    levels = [[Matroid._from_masks(0, [0])]]
+    for _ in range(max_n):
+        kept: dict[tuple, list[Matroid]] = {}
+        for m in levels[-1]:
+            for x in single_element_extensions(m):
+                degrees = sorted(sum(b >> e & 1 for b in x.basis_masks) for e in range(x.n))
+                key = (x.rank, len(x.basis_masks), tuple(degrees), tutte_polynomial(x))
+                group = kept.setdefault(key, [])
+                if all(isomorphism(y, x) is None for y in group):
+                    group.append(x)
+        levels.append([x for group in kept.values() for x in group])
+    return levels
+
+
 # -- random instances ----------------------------------------------------------------
 
 

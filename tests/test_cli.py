@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -155,6 +156,36 @@ def test_has_minor_witness_replays(capsys, k5_file, tmp_path, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(minor_out))
     code, out, _ = invoke(capsys, "isomorphic", "-", str(m4_path))
     assert code == 0 and out.strip().splitlines()[0] == "true"
+
+
+def test_has_minor_replay_quotes_paths(capsys, tmp_path, monkeypatch):
+    """The replay lines are shell commands: a path holding a space and a quote
+    comes back whole from shlex.split, and a plain path is printed as is."""
+    folder = tmp_path / "my dir's"
+    folder.mkdir()
+    host, pattern = folder / "u 24.json", folder / "u'12.json"
+    host.write_text(json.dumps(dump_matroid(uniform_matroid(2, 4))))
+    pattern.write_text(json.dumps(dump_matroid(uniform_matroid(1, 2))))
+    code, out, _ = invoke(capsys, "has-minor", str(host), str(pattern))
+    assert code == 0 and out.splitlines()[0] == "true"
+    replay = json.loads(out.splitlines()[1])["replay"]
+    minor_argv = shlex.split(replay[0])
+    assert minor_argv[0] == "matroidkit" and minor_argv[-1] == str(host)
+    code, minor_out, _ = invoke(capsys, *minor_argv[1:])
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(minor_out))
+    code, out, _ = invoke(capsys, *shlex.split(replay[1])[1:])
+    assert code == 0 and out.splitlines()[0] == "true"
+
+    plain = tmp_path / "u24.json"
+    plain.write_text(host.read_text())
+    (tmp_path / "u23.json").write_text(json.dumps(dump_matroid(uniform_matroid(2, 3))))
+    code, out, _ = invoke(capsys, "has-minor", str(plain), str(tmp_path / "u23.json"))
+    replay = json.loads(out.splitlines()[1])["replay"]
+    assert replay == [
+        f"matroidkit minor --contract '' --delete 0 {plain}",
+        f"matroidkit isomorphic - {tmp_path / 'u23.json'}",
+    ]
 
 
 def test_tutte_commands(capsys, k5_file, tmp_path):

@@ -1,5 +1,5 @@
 """The package entry point: its public names, which load their modules on first
-use, and the seven immutable value classes."""
+use, the ten immutable value classes and the immutable Matroid."""
 
 import copy
 import importlib
@@ -13,15 +13,19 @@ import pytest
 
 import matroidkit
 from matroidkit import (
+    BivarPoly,
     ChowPresentation,
     Cycle,
+    ExactMatrix,
     Graph,
     GroundSubset,
     IsoWitness,
+    Matroid,
     MinorWitness,
     PolytopeVertices,
+    UnivarPoly,
 )
-from matroidkit.subsets import _subsets_of
+from matroidkit.subsets import Frozen, _subsets_of
 
 PUBLIC = [
     "BivarPoly",
@@ -137,8 +141,9 @@ ISO = IsoWitness((0, 1))
 MINOR = MinorWitness(GroundSubset.of([0], 3), GroundSubset.empty(3), ISO)
 
 # one value of each class, the same value built again, a different value of
-# the same class, and the repr the value had as a frozen dataclass; the
-# GroundSubset is built as the queries build theirs, without __init__
+# the same class, and the repr of the first two; the GroundSubset is built as
+# the queries build theirs, without __init__, and the same BivarPoly is given
+# its terms in another order
 VALUES = [
     (
         _subsets_of([0b101], 4)[0],
@@ -184,6 +189,24 @@ VALUES = [
         "GroundSubset({2}, n=3)), linear_gens=(((0, 1), (1, -1)), ((0, 1), (2, -1))), "
         "quadric_gens=((0, 1), (0, 2), (1, 2)))",
     ),
+    (
+        matroidkit.chromatic_polynomial(TRIANGLE),
+        UnivarPoly((0, 2, -3, 1, 0)),
+        UnivarPoly((0, 2, -3)),
+        "UnivarPoly(coeffs=(0, 2, -3, 1))",
+    ),
+    (
+        matroidkit.tutte_polynomial(matroidkit.graphic_matroid(TRIANGLE)),
+        BivarPoly({(2, 0): 1, (1, 0): 1, (0, 1): 1}),
+        BivarPoly({(2, 0): 1, (1, 0): 1}),
+        "BivarPoly(_terms={(0, 1): 1, (1, 0): 1, (2, 0): 1})",
+    ),
+    (
+        ExactMatrix([[1, 2], [3, 4]], 5),
+        ExactMatrix(((6, 7), (8, 9)), 5),
+        ExactMatrix([[1, 2], [3, 4]]),
+        "ExactMatrix(2x2 over GF(5))",
+    ),
 ]
 IDS = [type(v[0]).__name__ for v in VALUES]
 
@@ -193,7 +216,7 @@ def test_equality_hash_and_repr(value, same, other, text):
     assert value == same and not value != same
     assert hash(value) == hash(same)
     assert value != other and not value == other
-    assert repr(value) == text
+    assert repr(value) == repr(same) == text
     assert len({value, same, other}) == 2
 
 
@@ -212,6 +235,39 @@ def test_immutable(value):
 def test_copy_and_pickle_round_trip(value):
     assert copy.deepcopy(value) == value
     assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_every_public_class_but_matroid_is_frozen():
+    classes = [obj for obj in map(matroidkit.__getattr__, PUBLIC) if isinstance(obj, type)]
+    assert len(classes) == 11
+    assert [c.__name__ for c in classes if not issubclass(c, Frozen)] == ["Matroid"]
+
+
+def test_matroid_is_immutable():
+    m = matroidkit.graphic_matroid(matroidkit.complete_graph(4))
+    for name in ("n", "labels", "_masks"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, None)
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+    with pytest.raises(AttributeError):
+        m.extra = 1
+    assert m.n == 6 and m.labels[0] == "{0, 1}" and len(m.basis_masks) == 16
+
+
+def test_matroid_copy_and_pickle_round_trip_after_its_memos_fill():
+    m = matroidkit.graphic_matroid(matroidkit.complete_graph(4))
+    flats, cols = m.flats(), m._columns()
+    assert m.flats() is flats and m._columns() is cols  # each memo fills once
+    assert [len(level) for level in flats] == [1, 6, 7, 1]
+    for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert twin == m and hash(twin) == hash(m) and repr(twin) == repr(m)
+        assert twin.labels == m.labels and twin.basis_masks == m.basis_masks
+        assert twin.bases == m.bases and twin.flats() == flats
+        assert twin.flats() is twin.flats() and twin._columns() == cols
+        assert [twin.rank_of([0, 1, e]) for e in range(6)] == [2, 2, 3, 2, 3, 3]
+    unlabelled = Matroid(3, [[0, 1], [0, 2]])
+    assert pickle.loads(pickle.dumps(unlabelled)).labels is None
 
 
 def test_equality_is_within_one_class():
