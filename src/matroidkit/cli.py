@@ -301,14 +301,17 @@ def cmd_search(args) -> None:
         _emit({"isomorphism": list(witness.perm)})
         return
     c, d = list(witness.contract.indices()), list(witness.delete.indices())
+    # a path other than stdin's "-" that starts with "-" would read as an option
+    paths = (f"./{f}" if f.startswith("-") and f != "-" else f for f in (args.a, args.b))
+    host, pattern = map(shlex.quote, paths)
     cset, dset = (shlex.quote(",".join(map(str, s))) for s in (c, d))
-    replay = f"matroidkit minor --contract {cset} --delete {dset} {shlex.quote(args.a)}"
+    replay = f"matroidkit minor --contract {cset} --delete {dset} {host}"
     _emit(
         {
             "contract": c,
             "delete": d,
             "isomorphism": list(witness.iso.perm),
-            "replay": [replay, f"matroidkit isomorphic - {shlex.quote(args.b)}"],
+            "replay": [replay, f"matroidkit isomorphic - {pattern}"],
         }
     )
 

@@ -85,11 +85,13 @@ def _bases(n: int, start, extend, bits: Sequence[int] | None = None) -> list[int
 
 
 def linear_matroid(matrix: ExactMatrix) -> Matroid:
-    """Column matroid of an exact matrix, grown one echelon step per column."""
-    from .linalg import _integral, echelon_insert
-    cols = [{i: r[j] for i, r in enumerate(matrix.entries) if r[j]} for j in range(matrix.cols)]
-    if matrix.field is None:  # scaling a column keeps the column matroid
-        cols = [_integral(c) for c in cols]
+    """Column matroid of an exact matrix, which row operations keep: the bases
+    grow one echelon step per column of its echelon rows, at most r entries."""
+    from .linalg import echelon_insert
+    echelon: dict[int, dict] = {}
+    for row in matrix.entries:
+        echelon_insert(echelon, {j: v for j, v in enumerate(row) if v}, matrix.field)
+    cols = [{i: r[j] for i, r in enumerate(echelon.values()) if j in r} for j in range(matrix.cols)]
 
     def extend(pivots: dict, j: int) -> dict | None:
         new = dict(pivots)

@@ -73,17 +73,9 @@ def rank_rows_exact(rows: list[Mapping[int, int | Fraction]], p: int | None = No
     """
     pivots: dict[int, dict] = {}
     for raw in rows:
-        if p is None:
-            echelon_insert(pivots, {c: Fraction(v) for c, v in raw.items() if v})
-        else:
-            echelon_insert(pivots, {c: v % p for c, v in raw.items() if v % p}, p)
+        row = raw.items() if p is None else ((c, v % p) for c, v in raw.items())
+        echelon_insert(pivots, {c: v for c, v in row if v}, p)
     return len(pivots)
-
-
-def _integral(row: dict) -> dict:
-    """The row times the lcm of its entries' denominators, so integer entries."""
-    d = lcm(*(v.denominator for v in row.values()))
-    return {k: v.numerator * (d // v.denominator) for k, v in row.items()}
 
 
 def echelon_insert(pivots: dict[int, dict], row: dict, p: int | None = None) -> bool:
@@ -93,19 +85,20 @@ def echelon_insert(pivots: dict[int, dict], row: dict, p: int | None = None) -> 
     left. The row is consumed. Over the rationals the step is fraction free
     (Bareiss, Math. Comp. 1968): a row of Fractions is scaled to integers on
     entry, each reduction cross-multiplies two integer rows and divides the
-    result by the gcd of its entries, and each pivot row keeps its leading
-    entry."""
+    result by the gcd of its entries. Every pivot row keeps its leading
+    entry, which is 1 over GF(p)."""
     if p is None and Fraction in map(type, row.values()):
-        row = _integral(row)
+        d = lcm(*(v.denominator for v in row.values()))
+        row = {k: v.numerator * (d // v.denominator) for k, v in row.items()}
     while row:
         c = min(row)
-        f = row[c] if p is None else row.pop(c)
+        f = row[c]
         piv = pivots.get(c)
         if piv is None:
             if p is None:
                 g = gcd(*row.values())
                 pivots[c] = {k: v // g for k, v in row.items()}
-            else:  # scaled to a leading 1, leading entry left implicit
+            else:
                 inv = pow(f, -1, p)
                 pivots[c] = {k: v * inv % p for k, v in row.items()}
             return True

@@ -7,12 +7,14 @@ the published ones (Mayhew and Royle, JCTB 98 (2008); OEIS A055545).
 """
 
 from collections import Counter
+from random import Random
 
 from matroidkit import (
     GroundSubset,
     Matroid,
     UnivarPoly,
     dual,
+    has_minor,
     isomorphism,
     tutte_evaluate,
     tutte_polynomial,
@@ -24,6 +26,7 @@ from oracles import (
     brute_closure,
     brute_flats_by_rank,
     brute_is_valid,
+    brute_minor_witness,
     brute_rank,
     characteristic_by_moebius,
 )
@@ -40,11 +43,34 @@ def test_class_counts():
 
 
 def test_every_class_is_valid_and_isomorphic_to_a_relabelled_copy():
+    """Each of the 474 classes against its reversal and a seeded random
+    relabelling: the witness maps the bases of the class onto the copy's."""
+    rng = Random(35)
+    assert len(MATROIDS) == 474
     for m in MATROIDS:
         assert m.is_valid() and brute_is_valid(m), m.basis_masks
-        perm = tuple(range(m.n))[::-1]
-        relabelled = Matroid._from_masks(m.n, [apply_permutation(b, perm) for b in m.basis_masks])
-        assert isomorphism(m, relabelled) is not None
+        shuffled = list(range(m.n))
+        rng.shuffle(shuffled)
+        for perm in (tuple(range(m.n))[::-1], shuffled):
+            copy = {apply_permutation(b, perm) for b in m.basis_masks}
+            w = isomorphism(m, Matroid._from_masks(m.n, copy))
+            assert {apply_permutation(b, w.perm) for b in m.basis_masks} == copy
+
+
+def test_has_minor_is_the_lexicographic_oracle():
+    """Every class on at most six elements as host against every class on at
+    most four: the witness, or its absence, is the oracle's."""
+    hosts = [m for m in MATROIDS if m.n <= 6]
+    patterns = [m for m in MATROIDS if m.n <= 4]
+    assert (len(hosts), len(patterns)) == (168, 32)
+    found = 0
+    for host in hosts:
+        for pattern in patterns:
+            w = has_minor(host, pattern)
+            got = None if w is None else (w.contract.bits, w.delete.bits)
+            assert got == brute_minor_witness(host, pattern)
+            found += w is not None
+    assert found == 2542
 
 
 def test_circuits_flats_rank_and_closure():

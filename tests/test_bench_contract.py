@@ -52,8 +52,9 @@ def test_traced_names_resolve_and_elimination_spans_fire():
             before = elim_calls()
             call()
             assert elim_calls() > before
-        # a column matroid grows its bases one echelon step at a time, with no
-        # whole elimination
+        # a column matroid streams its rows through echelon_insert once, then
+        # grows its bases one echelon step per column of those rows; the traced
+        # rank_rows_exact is never called
         before = elim_calls()
         for field in (None, 3):
             linear = matroidkit.linear_matroid(ExactMatrix([[1, 2, 0], [0, 1, 1]], field=field))

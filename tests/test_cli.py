@@ -160,7 +160,8 @@ def test_has_minor_witness_replays(capsys, k5_file, tmp_path, monkeypatch):
 
 def test_has_minor_replay_quotes_paths(capsys, tmp_path, monkeypatch):
     """The replay lines are shell commands: a path holding a space and a quote
-    comes back whole from shlex.split, and a plain path is printed as is."""
+    comes back whole from shlex.split, a plain path is printed as is, and a
+    relative path that starts with "-" gets a "./" so it reads as no option."""
     folder = tmp_path / "my dir's"
     folder.mkdir()
     host, pattern = folder / "u 24.json", folder / "u'12.json"
@@ -186,6 +187,19 @@ def test_has_minor_replay_quotes_paths(capsys, tmp_path, monkeypatch):
         f"matroidkit minor --contract '' --delete 0 {plain}",
         f"matroidkit isomorphic - {tmp_path / 'u23.json'}",
     ]
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-u24.json").write_text(host.read_text())
+    (tmp_path / "-u12.json").write_text(pattern.read_text())
+    code, out, _ = invoke(capsys, "has-minor", "--", "-u24.json", "-u12.json")
+    assert code == 0 and out.splitlines()[0] == "true"
+    replay = json.loads(out.splitlines()[1])["replay"]
+    assert replay[0].endswith(" ./-u24.json") and replay[1] == "matroidkit isomorphic - ./-u12.json"
+    code, minor_out, _ = invoke(capsys, *shlex.split(replay[0])[1:])
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(minor_out))
+    code, out, _ = invoke(capsys, *shlex.split(replay[1])[1:])
+    assert code == 0 and out.splitlines()[0] == "true"
 
 
 def test_tutte_commands(capsys, k5_file, tmp_path):
@@ -709,6 +723,19 @@ def test_wide_rational_matrices_are_refused_within_budget(tmp_path, rows):
     proc = _fresh_cli("linear", "--field", "q", path)
     assert proc.returncode == 1 and proc.stdout == "" and proc.stderr.startswith("error:")
     assert f"C({MAX_GROUND}, " in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_rank_deficient_gf7_matrix_within_budget(tmp_path):
+    """A seeded 120 x 120 GF(7) matrix whose last row is row 0 + row 1: the
+    guard admits its C(120, 119) = 120 candidates, and the bases, each all
+    but one column, are grown on the columns of its 119 echelon rows."""
+    rng = Random(120)
+    entries = [[rng.randrange(7) for _ in range(120)] for _ in range(119)]
+    entries.append([(a + b) % 7 for a, b in zip(entries[0], entries[1])])
+    proc = _fresh_cli("linear", "--field", "p:7", _matrix_file(tmp_path, entries))
+    assert proc.returncode == 0 and proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert doc["n"] == 120 and doc["bases"] and all(len(b) == 119 for b in doc["bases"])
 
 
 def test_exponent_matrix_entry_is_refused_at_once(tmp_path):

@@ -144,6 +144,36 @@ def test_linear_matroid_matches_subset_oracle(p):
     assert seen == {"no rows", "zero matrix", "zero column", "parallel columns"}
 
 
+@pytest.mark.parametrize("p", (None, 2, 3, 7))
+def test_linear_matroid_of_tall_and_rank_deficient_matrices(p):
+    """The bases are grown on the columns of the echelon rows, so rows past
+    the rank, repeated and combined rows, zero rows, and matrices with no
+    rows or no columns must all give the subset oracle's bases."""
+    rng = Random(35 + (p or 0))
+    pool = [0, 1, -1, 2, 3] + ([Fraction(-2, 3), 10**12 + 39] if p is None else [])
+    seen = set()
+    for _ in range(120):
+        ncols, rank = rng.randint(0, 7), rng.randint(0, 4)
+        top = [[rng.choice(pool) for _ in range(ncols)] for _ in range(rank)]
+        grid = top + [
+            [sum(c * row[j] for c, row in zip(coeffs, top)) for j in range(ncols)]
+            for coeffs in ([rng.choice(pool) for _ in top] for _ in range(rng.randint(0, 4)))
+        ]
+        rng.shuffle(grid)
+        m = linear_matroid(ExactMatrix(grid, field=p, cols=ncols))
+        assert set(m.basis_masks) == brute_linear_bases(grid, ncols, p)
+        r = brute_matrix_rank(grid, p)
+        if not grid:
+            seen.add("no rows")
+        elif not ncols:
+            seen.add("no columns")
+        elif len(grid) > r and r < min(len(grid), ncols):
+            seen.add("tall and rank deficient")
+        if any(not any(row) for row in grid) and ncols:
+            seen.add("zero row")
+    assert seen == {"no rows", "no columns", "tall and rank deficient", "zero row"}
+
+
 def seeded_graphs(count=200):
     """Graphs on up to 7 vertices with at most 12 edges, of every density."""
     rng = Random(23)

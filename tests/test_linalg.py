@@ -33,13 +33,14 @@ def test_rank_matches_dense_elimination(p):
         assert rank_rows_exact(rows, p=p) == brute_matrix_rank(grid, p)
 
 
-@pytest.mark.parametrize("p", (None, 3))
+@pytest.mark.parametrize("p", (None, 2, 3, 7))
 def test_echelon_insert_reports_independence(p):
     """Each step returns True exactly when the rank of the rows so far grows,
-    and leaves the echelon it was given alone when it returns False."""
+    and leaves the echelon it was given alone when it returns False. Every
+    pivot row holds its leading column, with the entry 1 over GF(p)."""
     rng = Random(7)
     for _ in range(60):
-        rows, ncols = random_sparse_rows(rng, 3)
+        rows, ncols = random_sparse_rows(rng, p or 3)
         pivots: dict = {}
         for k, raw in enumerate(rows):
             row = {c: (Fraction(v) if p is None else v % p) for c, v in raw.items()}
@@ -50,6 +51,10 @@ def test_echelon_insert_reports_independence(p):
             assert grew == (len(pivots) > len(before))
             if not grew:
                 assert pivots == before
+        for c, piv in pivots.items():
+            assert min(piv) == c and 0 not in piv.values()
+            if p is not None:
+                assert piv[c] == 1 and all(0 < v < p for v in piv.values())
 
 
 @pytest.mark.parametrize("kind", ("integer", "fraction"))
